@@ -183,10 +183,6 @@ def extended_airy_kernel(s: float, t: float, x: float, y: float) -> float:
         1e-10, "extended_airy_kernel")
 
 
-def kernel_at_points(p: SpaceTimePoint, q: SpaceTimePoint) -> float:
-    return extended_airy_kernel(p.t, q.t, p.x, q.x)
-
-
 def correlation_R(points) -> float:
     """k-point correlation det[A(z_i, z_j)] in input order, k <= 12."""
     pts = [p if isinstance(p, SpaceTimePoint) else SpaceTimePoint(*p)

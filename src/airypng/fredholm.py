@@ -4,8 +4,10 @@ distributions built on its Fredholm determinant.
 A joint event {A(t_1) <= xi_1, ..., A(t_m) <= xi_m} is the determinant
 det(I - D) of the symmetrized block matrix D with entries
 sqrt(w_a) A_{t_i,t_j}(x_a, x_b) sqrt(w_b), nodes living on the truncated
-half-lines (xi_i, xi_i + L].  All integrals of Airy products are evaluated
-on shared z-grids so a whole block is one elementwise scale plus a matmul.
+half-lines (xi_i, xi_i + L].  An equal-time block is the closed form
+(Ai(x) Ai'(y) - Ai'(x) Ai(y)) / (x - y) on the nodes' Airy values.  A block
+between two times is an integral of Airy products, evaluated on a shared
+z-grid so that it is one elementwise scale plus a matmul.
 """
 
 from __future__ import annotations
@@ -79,13 +81,25 @@ class _Leg:
         self.nodes = nodes
         self.weights = weights
         self.npp = npp
+        self._ai_aip = None
         self._ai_pos = None
         self._ai_neg = {}
 
+    def ai_aip(self):
+        """(Ai, Ai') at the nodes."""
+        if self._ai_aip is None:
+            self._ai_aip = airy_ai_aip_vec(self.nodes)
+        return self._ai_aip
+
     def ai_pos(self):
+        """Ai(x_a + z_k) on the positive z-grid.  The same Airy call fills
+        the node values as its z = 0 column."""
         if self._ai_pos is None:
             z, _ = ak._positive_grid(self.npp)
-            self._ai_pos = airy_ai_aip_vec(self.nodes[:, None] + z[None, :])[0]
+            z0 = np.concatenate(([0.0], z))
+            ai, aip = airy_ai_aip_vec(self.nodes[:, None] + z0[None, :])
+            self._ai_aip = ai[:, 0].copy(), aip[:, 0].copy()
+            self._ai_pos = ai[:, 1:]
         return self._ai_pos
 
     def ai_neg(self, gap_key: int):
@@ -103,11 +117,26 @@ def _phi_matrix(gap: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         / math.sqrt(4.0 * math.pi * gap)
 
 
+def _equal_time_block(leg_i: _Leg, leg_j: _Leg) -> np.ndarray:
+    """(Ai(x) Ai'(y) - Ai'(x) Ai(y)) / (x - y), and Ai'(x)^2 - x Ai(x)^2
+    where x == y."""
+    ai_x, aip_x = leg_i.ai_aip()
+    ai_y, aip_y = leg_j.ai_aip()
+    x = leg_i.nodes
+    dx = x[:, None] - leg_j.nodes[None, :]
+    same = dx == 0.0
+    cross = ai_x[:, None] * aip_y[None, :] - aip_x[:, None] * ai_y[None, :]
+    diagonal = (aip_x * aip_x - x * ai_x * ai_x)[:, None]
+    return np.where(same, diagonal, cross / np.where(same, 1.0, dx))
+
+
 def _kernel_block(leg_i: _Leg, leg_j: _Leg) -> np.ndarray:
     """Matrix A_{t_i, t_j}(x_a, y_b) over the two node sets (no weights)."""
     npp = leg_i.npp
     ti, tj = leg_i.t, leg_j.t
-    if ti >= tj:
+    if ti == tj:
+        return _equal_time_block(leg_i, leg_j)
+    if ti > tj:
         z, w = ak._positive_grid(npp)
         scale = w * np.exp(-(ti - tj) * z)
         return (leg_i.ai_pos() * scale) @ leg_j.ai_pos().T
@@ -125,12 +154,21 @@ def _kernel_block(leg_i: _Leg, leg_j: _Leg) -> np.ndarray:
     return -(leg_i.ai_neg(key) * scale) @ leg_j.ai_neg(key).T
 
 
+def _fill_grids_first(legs):
+    """When the legs span more than one time, every leg needs its z-grid;
+    making that call first lets it supply the node values too."""
+    if len({leg.t for leg in legs}) > 1:
+        for leg in legs:
+            leg.ai_pos()
+
+
 def _operator_from_legs(legs) -> DiscretizedOperator:
     sizes = [len(leg.nodes) for leg in legs]
     total = sum(sizes)
     D = np.empty((total, total))
     offs = np.concatenate([[0], np.cumsum(sizes)])
     roots = [np.sqrt(leg.weights) for leg in legs]
+    _fill_grids_first(legs)
     for i, leg_i in enumerate(legs):
         for j, leg_j in enumerate(legs):
             block = _kernel_block(leg_i, leg_j)
@@ -175,7 +213,11 @@ def gap_probability(grid: TimeGrid, n: int = DEFAULT_NODES,
     """P[A(t_i) <= xi_i for all i] as det(I - D).
 
     With ``refine`` the value is accepted only if the (2n, L+4) rerun moves
-    it by less than 1e-8; the refined value is returned.
+    it by less than 1e-8; the refined value is returned.  For a single time
+    the kernel is the closed form, so the rerun certifies the two
+    approximations left: the n-node Nystrom quadrature and the truncation
+    of (xi, inf) at xi + L.  With several times it also doubles the z-grid
+    nodes per panel (48 to 96) of the blocks between times.
     """
     if any(xi < THRESHOLD_MIN for xi in grid.thresholds):
         raise DomainError(f"thresholds below {THRESHOLD_MIN} are unsupported")
@@ -509,6 +551,7 @@ def _rhs_correlation_integral(grid: TimeGrid, boxes,
     k = len(slots)
     legs = [_Leg(grid.times[ti], nodes, np.ones_like(nodes))
             for ti, nodes, _w in slots]
+    _fill_grids_first(legs)
     M = [[_kernel_block(legs[i], legs[j]) for j in range(k)]
          for i in range(k)]
     w = [slots[i][2] for i in range(k)]

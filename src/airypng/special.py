@@ -378,10 +378,6 @@ def airy_ai_aip_vec(x: np.ndarray):
     return ai, aip
 
 
-def airy_ai_vec(x: np.ndarray) -> np.ndarray:
-    return airy_ai_aip_vec(x)[0]
-
-
 # ---------------------------------------------------------------------------
 # Gauss-Legendre rules.
 # ---------------------------------------------------------------------------

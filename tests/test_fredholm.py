@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from airypng import fredholm
+from airypng.airy_kernel import _gap_key, _negative_grid, _positive_grid
 from airypng.fredholm import (TimeGrid, build_operator, gap_probability,
                               tw2_cdf, tw2_pdf, conditional_window_probability,
                               conditional_window_report, increment_variance,
                               long_range_covariance, moment_identity_check,
-                              _tw2_moments)
+                              _tw2_moments, _kernel_block, _Leg, _leg_rule,
+                              DEFAULT_CUTOFF)
 from airypng.errors import DomainError, NumericsError
 
 from oracles import f2_nystrom_oracle, F2_AT_ZERO
@@ -153,6 +156,53 @@ def test_operator_spectral_radius():
     for thr in (-6.0, -3.0, 0.0):
         build_operator(TimeGrid((0.0,), (thr,)), n=96, L=10.0,
                        check_spectral=True)
+
+
+@pytest.mark.parametrize("threshold", [-6.0, -2.0, 0.0, 3.0])
+def test_equal_time_block_matches_z_quadrature(threshold):
+    # two legs share one node set, so off-diagonal blocks meet x == y too
+    rule = _leg_rule(threshold, threshold + DEFAULT_CUTOFF, 96)
+    shifted = _leg_rule(threshold + 0.3, threshold + 0.3 + DEFAULT_CUTOFF, 64)
+    legs = [_Leg(0.0, *rule), _Leg(0.0, *rule), _Leg(0.0, *shifted)]
+    _z, w = _positive_grid(48)
+    for leg_i in legs:
+        for leg_j in legs:
+            block = _kernel_block(leg_i, leg_j)
+            quad = (leg_i.ai_pos() * w) @ leg_j.ai_pos().T
+            assert np.max(np.abs(block - quad)) <= 1e-10
+
+
+def _count_airy_calls(monkeypatch):
+    """Shapes of the arguments of every Airy call fredholm makes."""
+    shapes = []
+    real = fredholm.airy_ai_aip_vec
+
+    def counting(x):
+        shapes.append(np.shape(x))
+        return real(x)
+
+    monkeypatch.setattr(fredholm, "airy_ai_aip_vec", counting)
+    return shapes
+
+
+def test_single_time_operator_evaluates_airy_at_its_nodes_only(monkeypatch):
+    shapes = _count_airy_calls(monkeypatch)
+    op = build_operator(TimeGrid((0.0,), (-1.0,)), n=192)
+    assert shapes == [(op.block_matrix.shape[0],)]
+
+
+@pytest.mark.parametrize("times", [(0.0, 0.5), (0.0, 3.0)])
+def test_two_time_operator_makes_one_grid_call_per_leg(monkeypatch, times):
+    # gap 0.5 takes the heat-kernel decomposition (positive grid only);
+    # gap 3 also needs the mirrored integral's negative grid on each leg
+    shapes = _count_airy_calls(monkeypatch)
+    op = build_operator(TimeGrid(times, (-1.0, 0.5)), n=96)
+    n_z = len(_positive_grid(48)[0])
+    expected = [(len(nodes), 1 + n_z) for nodes in op.grid]
+    if times[1] - times[0] > 2.0:
+        n_u = len(_negative_grid(_gap_key(3.0), 48)[0])
+        expected += [(len(nodes), n_u) for nodes in op.grid]
+    assert sorted(shapes) == sorted(expected)
 
 
 # ---------------------------------------------------------------------------
