@@ -4,11 +4,9 @@ growth/last-passage simulation, and the finite-N contour-integral kernel,
 plus the statistical experiments comparing both to Brownian motion."""
 
 from .errors import DomainError, NumericsError, InsufficientDataError
-from .special import (airy_ai, airy_ai_prime, airy_ai_second,
-                      gauss_legendre, QuadratureRule)
-from .airy_kernel import (SpaceTimePoint, HeatKernelParams,
-                          extended_airy_kernel, a_tilde, heat_phi,
-                          correlation_R)
+from .special import airy_ai, airy_ai_prime, gauss_legendre, QuadratureRule
+from .airy_kernel import (SpaceTimePoint, extended_airy_kernel, a_tilde,
+                          heat_phi, correlation_R)
 from .fredholm import (TimeGrid, DiscretizedOperator, build_operator,
                        gap_probability, tw2_cdf, tw2_pdf,
                        conditional_window_probability,

@@ -51,15 +51,6 @@ class SpaceTimePoint:
             raise DomainError("SpaceTimePoint needs finite coordinates")
 
 
-@dataclass(frozen=True)
-class HeatKernelParams:
-    alpha: float
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise DomainError("heat kernel needs alpha > 0")
-
-
 # ---------------------------------------------------------------------------
 # Quadrature grids.
 # ---------------------------------------------------------------------------

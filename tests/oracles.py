@@ -17,33 +17,43 @@ import numpy as np
 import scipy.special as sp
 
 def airy_series_oracle(x: float, derivative: int = 0) -> float:
-    """Ai(x) or Ai'(x) from the power series of y'' = xy, summed with
-    enough working digits to cover the oscillatory cancellation."""
+    """Ai(x), Ai'(x) or Ai''(x) from the power series of y'' = xy, summed
+    with enough working digits to cover the oscillatory cancellation."""
     # negative x: terms reach exp(xi); positive x: the result is exp(-xi)
     # below the terms, so twice the digits are needed
     dps = 40 + int((0.62 if x > 0 else 0.35) * abs(x) ** 1.5)
     with mp.workdps(dps):
+        ai0 = mp.power(3, mp.mpf(-2) / 3) / mp.gamma(mp.mpf(2) / 3)
+        aip0 = -mp.power(3, mp.mpf(-1) / 3) / mp.gamma(mp.mpf(1) / 3)
+        if x == 0:
+            return float((ai0, aip0, mp.mpf(0))[derivative])
         xm = mp.mpf(x)
         x3 = xm ** 3
+        xd = xm ** derivative
+
+        def falling(p):  # d^derivative/dx^derivative of x^p is this x^(p-d)
+            return math.prod(range(p - derivative + 1, p + 1))
+
+        # fa, ga are the x^(3k) and x^(3k+1) terms of the solutions f, g
+        # with f(0) = g'(0) = 1 and f'(0) = g(0) = 0
         fa, ga = mp.mpf(1), xm
-        f, g = fa, ga
-        fp, gp = mp.mpf(0), mp.mpf(1)
+        f = falling(0) * fa / xd
+        g = falling(1) * ga / xd
         for k in range(0, 4000):
             fa *= x3 / ((3 * k + 2) * (3 * k + 3))
             ga *= x3 / ((3 * k + 3) * (3 * k + 4))
             kk = k + 1
-            f += fa
-            g += ga
-            if x != 0:
-                fp += 3 * kk * fa / xm
-                gp += (3 * kk + 1) * ga / xm
+            f += falling(3 * kk) * fa / xd
+            g += falling(3 * kk + 1) * ga / xd
             if abs(fa) + abs(ga) < mp.mpf(10) ** (-dps - 5):
                 break
-        ai0 = mp.power(3, mp.mpf(-2) / 3) / mp.gamma(mp.mpf(2) / 3)
-        aip0 = -mp.power(3, mp.mpf(-1) / 3) / mp.gamma(mp.mpf(1) / 3)
-        if derivative == 0:
-            return float(ai0 * f + aip0 * g)
-        return float(ai0 * fp + aip0 * gp)
+        return float(ai0 * f + aip0 * g)
+
+
+def airy_ai_second(x: float) -> float:
+    """Ai''(x) from the series oracle, for ODE-residual checks of the
+    library's Ai."""
+    return airy_series_oracle(x, derivative=2)
 
 
 def airy_first_zero() -> float:
