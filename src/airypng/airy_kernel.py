@@ -1,24 +1,28 @@
 """The two-time Airy kernel, its heat-kernel decomposition and correlation
 functions.
 
-For ``s >= t`` the kernel is the absolutely convergent integral
-``int_0^inf exp(-z(s-t)) Ai(x+z) Ai(y+z) dz``.  For ``s < t`` there are two
-usable representations and both are implemented:
+One evaluator, ``kernel_block``, gives A_{s,t}(x_a, y_b) on the nodes of two
+``Leg``s (time lines whose Airy values are cached on the quadrature grids).
+It takes one of three routes per block, each one scaled matmul:
 
-* the decomposition ``A = a_tilde - heat_phi`` (growing exponential under
-  the integral, minus the closed-form heat kernel), accurate while the two
-  pieces do not dominate the difference;
-* the mirrored integral ``-int_0^inf exp(-u(t-s)) Ai(x-u) Ai(y-u) du``,
-  which converges absolutely for any ``t-s > 0`` and takes over when the
-  decomposition would cancel catastrophically (large time gaps or very
-  negative coordinates).
+* ``s >= t`` (equal times included): ``int_0^inf exp(-z(s-t)) Ai(x+z)
+  Ai(y+z) dz``, absolutely convergent;
+* the decomposition ``a_tilde - heat_phi``: the growing exponential under
+  the same integral, minus the closed-form heat kernel, while ``t-s <=
+  A_TILDE_MAX_GAP`` and kappa = (t-s)^3/12 - (t-s) lo/2 <= _CANCEL_BUDGET
+  with lo = min x + min y, so the cancellation stays bounded;
+* otherwise the mirrored integral ``-int_0^inf exp(-u(t-s)) Ai(x-u)
+  Ai(y-u) du``, absolutely convergent for any ``t-s > 0``.
+
+``extended_airy_kernel`` and ``a_tilde`` are 1x1 blocks on one-node legs
+(so lo = x + y), accepted after a 48/96 node-doubling check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -52,7 +56,8 @@ class SpaceTimePoint:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature grids.
+# Quadrature grids, the legs that cache Airy values on them, and the block
+# evaluator.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -72,9 +77,10 @@ def _positive_grid(npp: int = 48):
 def _negative_grid(gap_key: int, npp: int = 48):
     """Grid for -int_0^inf exp(-u*gap) Ai(x-u) Ai(y-u) du.
 
-    ``gap_key`` encodes the rounded-up time gap so ranges are shared; the
-    range covers exp(-u*gap) down to ~1e-20 plus room for the algebraic
-    prefactor of the oscillation.
+    ``gap_key`` is the time gap floored to a multiple of 1/16 (see
+    ``_gap_key``), so nearby gaps share a range; flooring only lengthens
+    the range.  The range covers exp(-u*gap) down to ~1e-20 plus room for
+    the algebraic prefactor of the oscillation.
     """
     gap = gap_key / 16.0
     u_max = min(46.0 / gap + 12.0, 220.0)
@@ -87,29 +93,95 @@ def _gap_key(gap: float) -> int:
     return max(1, int(math.floor(gap * 16.0)))
 
 
-def _pair_products(x: float, y: float, z: np.ndarray) -> np.ndarray:
-    ai_x, _ = airy_ai_aip_vec(x + z)
-    ai_y, _ = airy_ai_aip_vec(y + z)
-    return ai_x * ai_y
+class Leg:
+    """Nodes on one time line plus their cached Airy values: (Ai, Ai') at
+    the nodes, Ai on the positive z-grid, and Ai on the negative u-grid of
+    each gap key.  ``weights`` are the Nystrom weights, if any."""
+
+    def __init__(self, t, nodes, weights=None, npp=48):
+        self.t = float(t)
+        self.nodes = np.atleast_1d(nodes)
+        self.weights = weights
+        self.npp = npp
+        self._ai_aip = None
+        self._ai_pos = None
+        self._ai_neg = {}
+
+    def ai_aip(self):
+        """(Ai, Ai') at the nodes."""
+        if self._ai_aip is None:
+            self._ai_aip = airy_ai_aip_vec(self.nodes)
+        return self._ai_aip
+
+    def ai_pos(self):
+        """Ai(x_a + z_k) on the positive z-grid.  On a leg of several nodes
+        the same Airy call fills the node values as its z = 0 column; a
+        one-node leg is a scalar kernel value, which never needs them."""
+        if self._ai_pos is None:
+            z, _ = _positive_grid(self.npp)
+            if len(self.nodes) == 1:
+                self._ai_pos = airy_ai_aip_vec(self.nodes[:, None] + z)[0]
+            else:
+                z0 = np.concatenate(([0.0], z))
+                ai, aip = airy_ai_aip_vec(self.nodes[:, None] + z0)
+                self._ai_aip = ai[:, 0].copy(), aip[:, 0].copy()
+                self._ai_pos = ai[:, 1:]
+        return self._ai_pos
+
+    def ai_neg(self, gap_key: int):
+        """Ai(x_a - u_k) on the negative u-grid of ``gap_key``."""
+        if gap_key not in self._ai_neg:
+            u, _ = _negative_grid(gap_key, self.npp)
+            self._ai_neg[gap_key] = airy_ai_aip_vec(self.nodes[:, None] - u)[0]
+        return self._ai_neg[gap_key]
 
 
-def _positive_integral(delta: float, x: float, y: float, npp: int) -> float:
-    """int_0^inf exp(-delta*z) Ai(x+z) Ai(y+z) dz on the cached grid."""
-    z, w = _positive_grid(npp)
-    return float(np.dot(w * np.exp(-delta * z), _pair_products(x, y, z)))
+def positive_block(leg_i: Leg, leg_j: Leg, delta: float) -> np.ndarray:
+    """int_0^inf exp(-delta z) Ai(x_a+z) Ai(y_b+z) dz over the two legs;
+    a_tilde for delta = -(t-s)."""
+    z, w = _positive_grid(leg_i.npp)
+    return (leg_i.ai_pos() * (w * np.exp(-delta * z))) @ leg_j.ai_pos().T
 
 
-def _negative_integral(gap: float, x: float, y: float, npp: int) -> float:
-    u, w = _negative_grid(_gap_key(gap), npp)
-    ai_x, _ = airy_ai_aip_vec(x - u)
-    ai_y, _ = airy_ai_aip_vec(y - u)
-    return -float(np.dot(w * np.exp(-gap * u), ai_x * ai_y))
+def mirrored_block(leg_i: Leg, leg_j: Leg, gap: float) -> np.ndarray:
+    """-int_0^inf exp(-gap u) Ai(x_a-u) Ai(y_b-u) du over the two legs."""
+    key = _gap_key(gap)
+    u, w = _negative_grid(key, leg_i.npp)
+    return -(leg_i.ai_neg(key) * (w * np.exp(-gap * u))) @ leg_j.ai_neg(key).T
 
 
-def _with_doubling(fn, tol: float, what: str) -> float:
-    coarse = fn(48)
-    fine = fn(96)
-    if not abs(coarse - fine) <= tol * max(1.0, abs(fine)):
+def _route(s: float, t: float, lo: float):
+    """(integral over two legs, heat-kernel gap) of the route for times
+    s, t and lowest coordinate sum ``lo``.  The kernel is the integral,
+    minus heat_phi at the returned gap when that gap is not 0."""
+    gap = t - s
+    if gap <= 0.0:
+        return partial(positive_block, delta=-gap), 0.0
+    kappa = gap ** 3 / 12.0 - gap * lo / 2.0
+    if gap <= A_TILDE_MAX_GAP and kappa <= _CANCEL_BUDGET:
+        return partial(positive_block, delta=-gap), gap
+    return partial(mirrored_block, gap=gap), 0.0
+
+
+def kernel_block(leg_i: Leg, leg_j: Leg) -> np.ndarray:
+    """Matrix A_{t_i, t_j}(x_a, y_b) over the two node sets (no weights)."""
+    integral, heat_gap = _route(leg_i.t, leg_j.t,
+                                leg_i.nodes.min() + leg_j.nodes.min())
+    block = integral(leg_i, leg_j)
+    if heat_gap:
+        block -= heat_phi(heat_gap, leg_i.nodes[:, None], leg_j.nodes)
+    return block
+
+
+def _with_doubling(integral, s: float, t: float, x: float, y: float,
+                   what: str) -> float:
+    """``integral`` as a 1x1 block on one-node legs (s, x) and (t, y) at 48
+    and 96 nodes per panel; the latter once they agree within
+    1e-10 max(1, |value|)."""
+    coarse, fine = (float(integral(Leg(s, x, npp=npp),
+                                   Leg(t, y, npp=npp))[0, 0])
+                    for npp in (48, 96))
+    if not abs(coarse - fine) <= 1e-10 * max(1.0, abs(fine)):
         raise NumericsError(
             f"{what}: node-doubling disagreement {abs(coarse - fine):.3e}",
             estimates=(coarse, fine))
@@ -120,13 +192,13 @@ def _with_doubling(fn, tol: float, what: str) -> float:
 # Public operations.
 # ---------------------------------------------------------------------------
 
-def heat_phi(alpha: float, x: float, y: float) -> float:
-    """Closed-form heat kernel phi_alpha(x, y)."""
+def heat_phi(alpha: float, x, y):
+    """Closed-form heat kernel phi_alpha(x, y); x and y broadcast."""
     if not alpha > 0:
         raise DomainError("heat_phi needs alpha > 0")
-    return math.exp(-((x - y) ** 2) / (4.0 * alpha)
-                    - alpha * (x + y) / 2.0
-                    + alpha ** 3 / 12.0) / math.sqrt(4.0 * math.pi * alpha)
+    return np.exp(-((x - y) ** 2) / (4.0 * alpha)
+                  - alpha * (x + y) / 2.0
+                  + alpha ** 3 / 12.0) / math.sqrt(4.0 * math.pi * alpha)
 
 
 def a_tilde(s: float, t: float, x: float, y: float) -> float:
@@ -137,8 +209,8 @@ def a_tilde(s: float, t: float, x: float, y: float) -> float:
     if gap > A_TILDE_MAX_GAP:
         raise DomainError(f"a_tilde supports t - s <= {A_TILDE_MAX_GAP}")
     _check_coords(x, y)
-    return _with_doubling(
-        lambda npp: _positive_integral(-gap, x, y, npp), 1e-10, "a_tilde")
+    return _with_doubling(partial(positive_block, delta=-gap), s, t, x, y,
+                          "a_tilde")
 
 
 def _check_coords(x: float, y: float):
@@ -153,25 +225,15 @@ def _equal_time_diagonal(x: float) -> float:
 def extended_airy_kernel(s: float, t: float, x: float, y: float) -> float:
     """Two-time Airy kernel A_{s,t}(x, y) for coordinates >= -20."""
     _check_coords(x, y)
-    if s >= t:
-        gap = s - t
-        if gap == 0.0 and abs(x - y) < 1e-6:
-            # 0/0-safe diagonal; off-diagonal agreement with the closed
-            # form is what the quadrature route is tested against.
-            return _equal_time_diagonal(0.5 * (x + y))
-        return _with_doubling(
-            lambda npp: _positive_integral(gap, x, y, npp),
-            1e-10, "extended_airy_kernel")
-    gap = t - s
-    kappa = gap ** 3 / 12.0 - gap * (x + y) / 2.0
-    if gap <= A_TILDE_MAX_GAP and kappa <= _CANCEL_BUDGET:
-        tilde = _with_doubling(
-            lambda npp: _positive_integral(-gap, x, y, npp),
-            1e-10, "extended_airy_kernel")
-        return tilde - heat_phi(gap, x, y)
-    return _with_doubling(
-        lambda npp: _negative_integral(gap, x, y, npp),
-        1e-10, "extended_airy_kernel")
+    if s == t and abs(x - y) < 1e-6:
+        # 0/0-safe diagonal; off-diagonal agreement with the closed
+        # form is what the quadrature route is tested against.
+        return _equal_time_diagonal(0.5 * (x + y))
+    integral, heat_gap = _route(s, t, x + y)
+    # on the decomposition route the doubling gate judges a_tilde on its
+    # own scale; heat_phi is exact and subtracted after it
+    value = _with_doubling(integral, s, t, x, y, "extended_airy_kernel")
+    return value - float(heat_phi(heat_gap, x, y)) if heat_gap else value
 
 
 def correlation_R(points) -> float:

@@ -115,9 +115,10 @@ def cmd_kernel(args, argv) -> int:
             for y in (-2.0, -0.5, 0.0, 1.0, 2.0):
                 # both half-axis pieces by quadrature; no closed form on
                 # the left side
-                lhs = (airy_kernel._positive_integral(-alpha, x, y, 96)
-                       - airy_kernel._negative_integral(alpha, x, y, 96))
-                rhs = airy_kernel.heat_phi(alpha, x, y)
+                legs = [airy_kernel.Leg(0.0, v, npp=96) for v in (x, y)]
+                lhs = float(airy_kernel.positive_block(*legs, -alpha)[0, 0]
+                            - airy_kernel.mirrored_block(*legs, alpha)[0, 0])
+                rhs = float(airy_kernel.heat_phi(alpha, x, y))
                 rows.append((alpha, x, y, lhs, rhs, abs(lhs - rhs)))
                 worst = max(worst, abs(lhs - rhs))
         write_csv(out / "okounkov.csv",

@@ -4,10 +4,11 @@ distributions built on its Fredholm determinant.
 A joint event {A(t_1) <= xi_1, ..., A(t_m) <= xi_m} is the determinant
 det(I - D) of the symmetrized block matrix D with entries
 sqrt(w_a) A_{t_i,t_j}(x_a, x_b) sqrt(w_b), nodes living on the truncated
-half-lines (xi_i, xi_i + L].  An equal-time block is the closed form
-(Ai(x) Ai'(y) - Ai'(x) Ai(y)) / (x - y) on the nodes' Airy values.  A block
-between two times is an integral of Airy products, evaluated on a shared
-z-grid so that it is one elementwise scale plus a matmul.
+half-lines (xi_i, xi_i + L].  This module owns the node rules, the
+assembly and the determinants.  An equal-time block is the closed form
+(Ai(x) Ai'(y) - Ai'(x) Ai(y)) / (x - y) on the nodes' Airy values; a block
+between two times comes from ``airy_kernel.kernel_block``, which picks the
+kernel's route and quadrature grid and returns one scaled matmul.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from . import airy_kernel as ak
-from .special import airy_ai_aip_vec, gauss_legendre, panel_rule
+from .airy_kernel import Leg, kernel_block
+from .special import gauss_legendre, panel_rule
 
 DEFAULT_NODES = 192
 DEFAULT_CUTOFF = 16.0
@@ -73,51 +74,7 @@ def _leg_rule(lo: float, hi: float, n: int):
     return panel_rule(np.asarray(edges), per)
 
 
-class _Leg:
-    """Quadrature nodes on one time line plus cached Airy values."""
-
-    def __init__(self, t, nodes, weights, npp=48):
-        self.t = float(t)
-        self.nodes = nodes
-        self.weights = weights
-        self.npp = npp
-        self._ai_aip = None
-        self._ai_pos = None
-        self._ai_neg = {}
-
-    def ai_aip(self):
-        """(Ai, Ai') at the nodes."""
-        if self._ai_aip is None:
-            self._ai_aip = airy_ai_aip_vec(self.nodes)
-        return self._ai_aip
-
-    def ai_pos(self):
-        """Ai(x_a + z_k) on the positive z-grid.  The same Airy call fills
-        the node values as its z = 0 column."""
-        if self._ai_pos is None:
-            z, _ = ak._positive_grid(self.npp)
-            z0 = np.concatenate(([0.0], z))
-            ai, aip = airy_ai_aip_vec(self.nodes[:, None] + z0[None, :])
-            self._ai_aip = ai[:, 0].copy(), aip[:, 0].copy()
-            self._ai_pos = ai[:, 1:]
-        return self._ai_pos
-
-    def ai_neg(self, gap_key: int):
-        if gap_key not in self._ai_neg:
-            u, _ = ak._negative_grid(gap_key, self.npp)
-            self._ai_neg[gap_key] = airy_ai_aip_vec(
-                self.nodes[:, None] - u[None, :])[0]
-        return self._ai_neg[gap_key]
-
-
-def _phi_matrix(gap: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    dx = x[:, None] - y[None, :]
-    sx = x[:, None] + y[None, :]
-    return np.exp(-dx * dx / (4.0 * gap) - gap * sx / 2.0 + gap ** 3 / 12.0) \
-        / math.sqrt(4.0 * math.pi * gap)
-
-
-def _equal_time_block(leg_i: _Leg, leg_j: _Leg) -> np.ndarray:
+def _equal_time_block(leg_i: Leg, leg_j: Leg) -> np.ndarray:
     """(Ai(x) Ai'(y) - Ai'(x) Ai(y)) / (x - y), and Ai'(x)^2 - x Ai(x)^2
     where x == y."""
     ai_x, aip_x = leg_i.ai_aip()
@@ -130,28 +87,11 @@ def _equal_time_block(leg_i: _Leg, leg_j: _Leg) -> np.ndarray:
     return np.where(same, diagonal, cross / np.where(same, 1.0, dx))
 
 
-def _kernel_block(leg_i: _Leg, leg_j: _Leg) -> np.ndarray:
+def _kernel_block(leg_i: Leg, leg_j: Leg) -> np.ndarray:
     """Matrix A_{t_i, t_j}(x_a, y_b) over the two node sets (no weights)."""
-    npp = leg_i.npp
-    ti, tj = leg_i.t, leg_j.t
-    if ti == tj:
+    if leg_i.t == leg_j.t:
         return _equal_time_block(leg_i, leg_j)
-    if ti > tj:
-        z, w = ak._positive_grid(npp)
-        scale = w * np.exp(-(ti - tj) * z)
-        return (leg_i.ai_pos() * scale) @ leg_j.ai_pos().T
-    gap = tj - ti
-    lo = float(leg_i.nodes.min() + leg_j.nodes.min())
-    kappa = gap ** 3 / 12.0 - gap * lo / 2.0
-    if gap <= ak.A_TILDE_MAX_GAP and kappa <= ak._CANCEL_BUDGET:
-        z, w = ak._positive_grid(npp)
-        scale = w * np.exp(gap * z)
-        tilde = (leg_i.ai_pos() * scale) @ leg_j.ai_pos().T
-        return tilde - _phi_matrix(gap, leg_i.nodes, leg_j.nodes)
-    key = ak._gap_key(gap)
-    u, w = ak._negative_grid(key, npp)
-    scale = w * np.exp(-gap * u)
-    return -(leg_i.ai_neg(key) * scale) @ leg_j.ai_neg(key).T
+    return kernel_block(leg_i, leg_j)
 
 
 def _fill_grids_first(legs):
@@ -182,19 +122,14 @@ def _operator_from_legs(legs) -> DiscretizedOperator:
 
 
 def build_operator(grid: TimeGrid, n: int = DEFAULT_NODES,
-                   L: float = DEFAULT_CUTOFF, npp: int = 48,
-                   check_spectral: bool = False) -> DiscretizedOperator:
+                   L: float = DEFAULT_CUTOFF,
+                   npp: int = 48) -> DiscretizedOperator:
     """Assemble the symmetrized Nystrom matrix of f^1/2 A f^1/2."""
     legs = []
     for t, xi in zip(grid.times, grid.thresholds):
         nodes, weights = _leg_rule(xi, xi + L, n)
-        legs.append(_Leg(t, nodes, weights, npp))
-    op = _operator_from_legs(legs)
-    if check_spectral:
-        rho = float(np.max(np.abs(np.linalg.eigvals(op.block_matrix))))
-        if rho >= 1.0:
-            raise NumericsError(f"operator spectral radius {rho} >= 1")
-    return op
+        legs.append(Leg(t, nodes, weights, npp))
+    return _operator_from_legs(legs)
 
 
 def _det_i_minus(D: np.ndarray) -> float:
@@ -364,8 +299,8 @@ def _covariance_integrand_row(t, u, x_nodes, n, L):
     out = np.empty(len(x_nodes))
     for idx, x in enumerate(x_nodes):
         y = float(x - u)
-        leg0 = _Leg(0.0, *_leg_rule(y, y + L, n), npp=_COV_NPP)
-        legt = _Leg(t, *_leg_rule(float(x), float(x) + L, n), npp=_COV_NPP)
+        leg0 = Leg(0.0, *_leg_rule(y, y + L, n), npp=_COV_NPP)
+        legt = Leg(t, *_leg_rule(float(x), float(x) + L, n), npp=_COV_NPP)
         D = _operator_from_legs([leg0, legt]).block_matrix
         k = len(leg0.nodes)
         joint = _det_i_minus(D)
@@ -462,7 +397,7 @@ def _void_dets(grid: TimeGrid, cell_sets):
     for cells in cell_sets:
         for (ti, lo, hi) in cells:
             rule = gauss_legendre(per_cell_nodes, lo, hi)
-            legs.append(_Leg(grid.times[ti], rule.nodes, rule.weights))
+            legs.append(Leg(grid.times[ti], rule.nodes, rule.weights))
             index_of[flat] = slice(flat * per_cell_nodes,
                                    (flat + 1) * per_cell_nodes)
             flat += 1
@@ -549,7 +484,7 @@ def _rhs_correlation_integral(grid: TimeGrid, boxes,
         for _ in range(k):
             slots.append((ti, rule.nodes, rule.weights))
     k = len(slots)
-    legs = [_Leg(grid.times[ti], nodes, np.ones_like(nodes))
+    legs = [Leg(grid.times[ti], nodes, np.ones_like(nodes))
             for ti, nodes, _w in slots]
     _fill_grids_first(legs)
     M = [[_kernel_block(legs[i], legs[j]) for j in range(k)]

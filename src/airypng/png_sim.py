@@ -64,18 +64,9 @@ class HeightField:
         return int(self.heights[x + t])
 
 
-def active_site_count(s: int) -> int:
-    """Number of noise-carrying sites at time step s (>= 1)."""
-    return s
-
-
 def active_sites(s: int) -> np.ndarray:
     """Positions x with |x| <= s-1 and s - x odd, ascending."""
     return np.arange(-(s - 1), s, 2)
-
-
-def total_draws(n_steps: int) -> int:
-    return n_steps * (n_steps + 1) // 2
 
 
 def geometric_from_uniform(u, q: float):

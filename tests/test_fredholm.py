@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from airypng import fredholm
-from airypng.airy_kernel import _gap_key, _negative_grid, _positive_grid
+from airypng import airy_kernel
+from airypng.airy_kernel import (Leg, extended_airy_kernel, kernel_block,
+                                 _gap_key, _negative_grid, _positive_grid)
 from airypng.fredholm import (TimeGrid, build_operator, gap_probability,
                               tw2_cdf, tw2_pdf, conditional_window_probability,
                               conditional_window_report, increment_variance,
                               long_range_covariance, moment_identity_check,
-                              _tw2_moments, _kernel_block, _Leg, _leg_rule,
+                              _tw2_moments, _kernel_block, _leg_rule,
                               DEFAULT_CUTOFF)
 from airypng.errors import DomainError, NumericsError
 
@@ -145,43 +146,61 @@ def test_operator_entry_structure():
     op = build_operator(grid, n=24, L=10.0)
     nodes = op.grid[0]
     weights = op.weights[0]
-    from airypng.airy_kernel import extended_airy_kernel
     i, j = 3, 17
     want = math.sqrt(weights[i]) * extended_airy_kernel(
         0.0, 0.0, float(nodes[i]), float(nodes[j])) * math.sqrt(weights[j])
     assert op.block_matrix[i, j] == pytest.approx(want, abs=1e-11)
+    # every entry of the blocks between two times matches the scalar kernel
+    cases = [((0.0, 0.5), (-1.0, 0.5)),   # the heat-kernel decomposition
+             ((0.0, 3.0), (-1.0, 0.5)),   # the mirrored integral
+             # the block takes the mirrored integral (lo = -12), while
+             # entries with x + y above about -10.6 take the decomposition
+             ((0.0, 1.9), (-6.0, -6.0))]
+    for times, thresholds in cases:
+        op = build_operator(TimeGrid(times, thresholds), n=24, L=10.0)
+        roots = [np.sqrt(w) for w in op.weights]
+        offs = np.cumsum([0] + [len(nodes) for nodes in op.grid])
+        for a, b in ((0, 1), (1, 0)):
+            block = op.block_matrix[offs[a]:offs[a + 1],
+                                    offs[b]:offs[b + 1]]
+            want = np.array([[extended_airy_kernel(times[a], times[b],
+                                                   float(x), float(y))
+                              for y in op.grid[b]] for x in op.grid[a]])
+            want *= roots[a][:, None] * roots[b][None, :]
+            assert np.max(np.abs(block - want)) <= 1e-11, (times, a, b)
 
 
 def test_operator_spectral_radius():
     for thr in (-6.0, -3.0, 0.0):
-        build_operator(TimeGrid((0.0,), (thr,)), n=96, L=10.0,
-                       check_spectral=True)
+        op = build_operator(TimeGrid((0.0,), (thr,)), n=96, L=10.0)
+        assert np.max(np.abs(np.linalg.eigvals(op.block_matrix))) < 1.0
 
 
 @pytest.mark.parametrize("threshold", [-6.0, -2.0, 0.0, 3.0])
 def test_equal_time_block_matches_z_quadrature(threshold):
-    # two legs share one node set, so off-diagonal blocks meet x == y too
+    # two legs share one node set, so off-diagonal blocks meet x == y too;
+    # at equal times the evaluator takes the z-quadrature route
     rule = _leg_rule(threshold, threshold + DEFAULT_CUTOFF, 96)
     shifted = _leg_rule(threshold + 0.3, threshold + 0.3 + DEFAULT_CUTOFF, 64)
-    legs = [_Leg(0.0, *rule), _Leg(0.0, *rule), _Leg(0.0, *shifted)]
-    _z, w = _positive_grid(48)
+    legs = [Leg(0.0, *rule), Leg(0.0, *rule), Leg(0.0, *shifted)]
     for leg_i in legs:
         for leg_j in legs:
             block = _kernel_block(leg_i, leg_j)
-            quad = (leg_i.ai_pos() * w) @ leg_j.ai_pos().T
+            quad = kernel_block(leg_i, leg_j)
             assert np.max(np.abs(block - quad)) <= 1e-10
 
 
 def _count_airy_calls(monkeypatch):
-    """Shapes of the arguments of every Airy call fredholm makes."""
+    """Shapes of the arguments of every Airy call the operator's legs
+    make."""
     shapes = []
-    real = fredholm.airy_ai_aip_vec
+    real = airy_kernel.airy_ai_aip_vec
 
     def counting(x):
         shapes.append(np.shape(x))
         return real(x)
 
-    monkeypatch.setattr(fredholm, "airy_ai_aip_vec", counting)
+    monkeypatch.setattr(airy_kernel, "airy_ai_aip_vec", counting)
     return shapes
 
 
