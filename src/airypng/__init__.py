@@ -13,10 +13,9 @@ from .fredholm import (TimeGrid, DiscretizedOperator, build_operator,
                        conditional_window_report,
                        increment_variance, long_range_covariance,
                        moment_identity_check)
-from .png_sim import (PngConfig, HeightField, LppField, sample_geometric,
-                      png_step, simulate, last_passage_G, coupling_check,
-                      coupling_check_detail, rescale_H, d_scaling,
-                      growth_speed)
+from .png_sim import (PngConfig, HeightField, simulate, last_passage_G,
+                      coupling_check, coupling_check_detail, rescale_H,
+                      d_scaling, growth_speed)
 from .png_kernel import (PngKernelParams, LatticePoint, default_params,
                          k_tilde, phi_discrete, k_n,
                          discrete_gap_probability,

@@ -11,6 +11,10 @@ mapping the last-passage weights w(i, j) onto noise at position i-j and
 time i+j-1 lands exactly on active(s), and coupling_check verifies the
 identity bit-for-bit.
 
+One growth recursion (_grow) serves simulate, the coupling check and the
+batched Monte Carlo, and one row recurrence (_lpp_rows) serves the full
+last-passage table and the batched corner value.
+
 Randomness is counter-based (Philox); the stream of a replica is a pure
 function of (master_seed, stream tag, replica index) and is consumed in the
 canonical order (time ascending, position ascending), so results do not
@@ -20,7 +24,7 @@ depend on batching or worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +38,6 @@ class PngConfig:
     q: float
     n_steps: int
     seed: int
-    log_noise: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
@@ -49,13 +52,6 @@ class HeightField:
 
     t: int
     heights: np.ndarray
-    noise_log: list = field(default_factory=list)
-    log_noise: bool = False
-
-    @classmethod
-    def flat(cls, log_noise: bool = False) -> "HeightField":
-        return cls(t=0, heights=np.zeros(1, dtype=HEIGHT_DTYPE),
-                   log_noise=log_noise)
 
     def height(self, x: int) -> int:
         t = self.t
@@ -69,19 +65,21 @@ def active_sites(s: int) -> np.ndarray:
     return np.arange(-(s - 1), s, 2)
 
 
+def _geometric_floor(u, q: float):
+    """floor(log(U)/log(q)) as floats, with U = 1 - u; every path that turns
+    uniforms into geometric noise goes through here."""
+    if not 0.0 < q < 1.0:
+        raise DomainError("geometric parameter q must lie in (0, 1)")
+    return np.floor(np.log1p(-u) / math.log(q))
+
+
 def geometric_from_uniform(u, q: float):
-    """Inversion sampler floor(log(U)/log(q)) with U uniform on (0, 1].
+    """Inversion sampler floor(log(U)/log(q)) with U uniform on (0, 1], so
+    P[m] = (1 - q) q^m for m >= 0.
 
     numpy generators yield [0, 1); 1 - u maps that onto (0, 1].
     """
-    return np.floor(np.log1p(-u) / math.log(q)).astype(HEIGHT_DTYPE)
-
-
-def sample_geometric(q: float, rng: np.random.Generator) -> int:
-    """One draw with P[m] = (1 - q) q^m, m >= 0."""
-    if not 0.0 < q < 1.0:
-        raise DomainError("q must lie in (0, 1)")
-    return int(geometric_from_uniform(rng.random(), q))
+    return _geometric_floor(u, q).astype(HEIGHT_DTYPE)
 
 
 def replica_generator(master_seed: int, tag: int, replica: int) -> np.random.Generator:
@@ -91,55 +89,54 @@ def replica_generator(master_seed: int, tag: int, replica: int) -> np.random.Gen
     return np.random.Generator(np.random.Philox(seq))
 
 
-def png_step(field: HeightField, rng: np.random.Generator,
-             q: float, noise: np.ndarray | None = None) -> HeightField:
-    """Advance one time step; ``noise`` overrides the geometric draws (test
-    hook and coupling driver)."""
-    t = field.t
-    s = t + 1
-    old = field.heights
-    padded = np.zeros(2 * s + 3, dtype=HEIGHT_DTYPE)
-    padded[2:2 + old.size] = old  # old spans [-t, t]; padded spans [-t-2, t+2]
-    grown = np.maximum(np.maximum(padded[:-2], padded[1:-1]), padded[2:])
-    new = grown  # spans [-s, s]
-    if noise is None:
-        noise = geometric_from_uniform(rng.random(s), q)
-    else:
-        noise = np.asarray(noise, dtype=HEIGHT_DTYPE)
-        if noise.shape != (s,):
-            raise DomainError(f"noise for step {s} must have length {s}")
-    new[1:2 * s:2] += noise  # active sites -(s-1), -(s-3), ..., s-1
-    log = field.noise_log
-    if field.log_noise:
-        log = list(log)
-        log.append(noise.copy())
-    return HeightField(t=s, heights=new, noise_log=log,
-                       log_noise=field.log_noise)
+def _grow(noise: np.ndarray, n_steps: int):
+    """The growth recursion for a batch, from the flat state. ``noise`` is
+    (B, T(T+1)/2) in canonical order: step s takes the s entries after the
+    first s(s-1)/2, one per active site. Yields the (B, 2T+1) heights on
+    [-T, T], one buffer updated in place, before and after each step; the
+    sites |x| = s are still 0 at time s, so step s updates |x| <= s-1.
+    """
+    T = int(n_steps)
+    h = np.zeros((noise.shape[0], 2 * T + 1), dtype=noise.dtype)
+    yield h
+    off = 0
+    for s in range(1, T + 1):
+        lo = T - s + 1
+        hi = T + s
+        grown = np.maximum(np.maximum(h[:, lo - 1:hi - 1], h[:, lo:hi]),
+                           h[:, lo + 1:hi + 1])
+        grown[:, ::2] += noise[:, off:off + s]
+        h[:, lo:hi] = grown
+        off += s
+        yield h
 
 
 def simulate(config: PngConfig) -> HeightField:
-    """Run the recursion for config.n_steps from the flat state."""
-    rng = replica_generator(config.seed, 0, 0)
-    field = HeightField.flat(log_noise=config.log_noise)
-    for _ in range(config.n_steps):
-        field = png_step(field, rng, config.q)
-    return field
+    """Run the recursion for config.n_steps from the flat state on the
+    replica stream (seed, 0, 0)."""
+    T = config.n_steps
+    u = replica_generator(config.seed, 0, 0).random((1, T * (T + 1) // 2))
+    for h in _grow(geometric_from_uniform(u, config.q), T):
+        pass
+    return HeightField(t=T, heights=h[0])
 
 
 # ---------------------------------------------------------------------------
 # Last-passage percolation.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LppField:
-    w: np.ndarray
-    g: np.ndarray
-
-
-def lpp_field(w: np.ndarray) -> LppField:
-    """Weights plus their completed last-passage table."""
+def _lpp_rows(w):
+    """Rows of the last-passage table of w (..., M, N), vectorized over the
+    leading axes. Unrolling g(i,j) = w(i,j) + max(g(i-1,j), g(i,j-1)) along
+    a row gives g_i = S_i + cummax(g_{i-1} - S_i + w_i), S_i = cumsum(w_i);
+    the first row is S_0, since no path enters it from above."""
     w = np.asarray(w, dtype=HEIGHT_DTYPE)
-    return LppField(w=w, g=last_passage_table(w))
+    g = np.cumsum(w[..., 0, :], axis=-1)
+    yield g
+    for i in range(1, w.shape[-2]):
+        S = np.cumsum(w[..., i, :], axis=-1)
+        g = S + np.maximum.accumulate(g - S + w[..., i, :], axis=-1)
+        yield g
 
 
 def last_passage_G(M: int, N: int, w: np.ndarray) -> int:
@@ -153,74 +150,49 @@ def last_passage_G(M: int, N: int, w: np.ndarray) -> int:
 
 
 def last_passage_table(w: np.ndarray) -> np.ndarray:
-    """Full DP table g(i,j) = w(i,j) + max(g(i-1,j), g(i,j-1)),
-    vectorized along antidiagonals."""
-    w = np.asarray(w, dtype=HEIGHT_DTYPE)
-    M, N = w.shape
-    g = np.zeros((M, N), dtype=HEIGHT_DTYPE)
-    for d in range(M + N - 1):
-        i = np.arange(max(0, d - N + 1), min(M, d + 1))
-        j = d - i
-        up = np.where(i > 0, g[np.maximum(i - 1, 0), j], 0)
-        left = np.where(j > 0, g[i, np.maximum(j - 1, 0)], 0)
-        g[i, j] = w[i, j] + np.maximum(up, left)
-    return g
+    """Full table g(i,j) = w(i,j) + max(g(i-1,j), g(i,j-1)), where a
+    missing neighbour means no path."""
+    return np.stack(list(_lpp_rows(w)), axis=-2)
 
 
 def last_passage_batch(w: np.ndarray) -> np.ndarray:
-    """G(M, N) for a batch of weight fields, shape (B, M, N) -> (B,)."""
-    B, M, N = w.shape
-    g = np.zeros((B, M, N), dtype=HEIGHT_DTYPE)
-    for i in range(M):
-        for j in range(N):
-            best = 0
-            if i > 0 and j > 0:
-                best = np.maximum(g[:, i - 1, j], g[:, i, j - 1])
-            elif i > 0:
-                best = g[:, i - 1, j]
-            elif j > 0:
-                best = g[:, i, j - 1]
-            g[:, i, j] = w[:, i, j] + best
-    return g[:, M - 1, N - 1]
+    """G(M, N) for a batch of weight fields, shape (B, M, N) -> (B,),
+    keeping one table row per field at a time."""
+    for g in _lpp_rows(w):
+        pass
+    return g[..., -1].copy()
 
 
 # ---------------------------------------------------------------------------
 # The exact coupling.
 # ---------------------------------------------------------------------------
 
-def noise_from_lpp(w: np.ndarray, s: int) -> np.ndarray:
-    """Noise vector for step s induced by w(i, j) -> position i-j, time
-    i+j-1; zero where i or j exceeds the w array."""
-    N = w.shape[0]
-    xs = active_sites(s)
-    i = (s + xs + 1) // 2
-    j = (s - xs + 1) // 2
-    out = np.zeros(xs.size, dtype=HEIGHT_DTYPE)
-    ok = (i <= N) & (j <= N)
-    out[ok] = w[i[ok] - 1, j[ok] - 1]
-    return out
-
-
 def coupling_check_detail(seed: int, N: int, q: float = 0.25):
-    """Run one coupled realization; return (ok, first_violation)."""
-    if N > 200:
-        raise DomainError("coupling_check supports N <= 200")
+    """Run one coupled realization; return (ok, first_violation), the first
+    cell in (i, j) order where G(i, j) != h(i-j, i+j-1), as (i, j, G, h).
+
+    w(i, j) is the noise at position i-j and time i+j-1: the k-th active
+    site of step s takes the cell (k+1, s-k), and 0 outside the N x N box.
+    """
+    if not 1 <= N <= 200:
+        raise DomainError("coupling_check supports 1 <= N <= 200")
     rng = replica_generator(seed, 1, 0)
     w = geometric_from_uniform(rng.random((N, N)), q)
+    T = 2 * N - 1
+    padded = np.zeros((T, T), dtype=HEIGHT_DTYPE)
+    padded[:N, :N] = w
+    step = np.repeat(np.arange(1, T + 1), np.arange(1, T + 1))
+    k = np.arange(step.size) - step * (step - 1) // 2
+    h_cells = np.zeros((N, N), dtype=HEIGHT_DTYPE)
+    for s, h in enumerate(_grow(padded[k, step - 1 - k][None], T)):
+        i = np.arange(max(1, s - N + 1), min(N, s) + 1)  # j = s + 1 - i
+        h_cells[i - 1, s - i] = h[0, 2 * i - s - 1 + T]
     g = last_passage_table(w)
-    field = HeightField.flat()
-    heights = {}
-    for s in range(1, 2 * N):
-        field = png_step(field, rng, q, noise=noise_from_lpp(w, s))
-        heights[s] = field.heights.copy()
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            s = i + j - 1
-            x = i - j
-            h = heights[s][x + s]
-            if h != g[i - 1, j - 1]:
-                return False, (i, j, int(g[i - 1, j - 1]), int(h))
-    return True, None
+    bad = np.argwhere(h_cells != g)
+    if bad.size == 0:
+        return True, None
+    i, j = bad[0]
+    return False, (int(i) + 1, int(j) + 1, int(g[i, j]), int(h_cells[i, j]))
 
 
 def coupling_check(seed: int, N: int, q: float = 0.25) -> bool:
@@ -283,22 +255,12 @@ def evolve_batch_heights(q: float, n_steps: int, master_seed: int, tag: int,
     T = int(n_steps)
     if np.any(np.abs(positions) > T):
         raise DomainError("recorded positions outside the growth cone")
-    lnq = math.log(q)
-    counts = np.arange(1, T + 1)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    B = len(replicas)
-    u = np.empty((B, offsets[-1]))
+    n_draws = T * (T + 1) // 2
+    u = np.empty((len(replicas), n_draws))
     for bi, r in enumerate(replicas):
-        u[bi] = replica_generator(master_seed, tag, r).random(offsets[-1])
-    noise = np.floor(np.log1p(-u) / lnq).astype(np.int32)
+        u[bi] = replica_generator(master_seed, tag, r).random(n_draws)
+    noise = _geometric_floor(u, q).astype(np.int32)
     del u
-    h = np.zeros((B, 2 * T + 1), dtype=np.int32)
-    c = T
-    for s in range(1, T + 1):
-        lo = c - s + 1
-        hi = c + s
-        grown = np.maximum(np.maximum(h[:, lo - 1:hi - 1], h[:, lo:hi]),
-                           h[:, lo + 1:hi + 1])
-        grown[:, ::2] += noise[:, offsets[s - 1]:offsets[s]]
-        h[:, lo:hi] = grown
+    for h in _grow(noise, T):
+        pass
     return h[:, positions + T].astype(HEIGHT_DTYPE)

@@ -3,8 +3,9 @@
 Nothing here touches the library's own Airy or quadrature code paths: the
 Airy oracle sums the Maclaurin series in extended-precision mpmath
 arithmetic, the Tracy-Widom oracle is a high-resolution Nystrom build on
-the classic closed-form kernel with scipy's Airy functions, and the
-last-passage oracle enumerates paths.
+the classic closed-form kernel with scipy's Airy functions, the
+last-passage oracle enumerates paths, and the growth oracle applies the
+growth rule one site at a time.
 """
 
 from __future__ import annotations
@@ -140,6 +141,19 @@ def lpp_bruteforce(w: np.ndarray) -> int:
             s += int(w[i, j])
         best = s if best is None else max(best, s)
     return best
+
+
+def png_heights_oracle(noise_steps) -> list:
+    """h(x, T) for x = -T..T from the flat state by the scalar rule
+    h(x, s) = max(h(x-1, s-1), h(x, s-1), h(x+1, s-1)) + noise, where
+    noise_steps[s-1] sits on x = -(s-1), -(s-3), ..., s-1."""
+    h = {}
+    for s, noise in enumerate(noise_steps, start=1):
+        active = dict(zip(range(-(s - 1), s, 2), noise))
+        h = {x: max(h.get(x - 1, 0), h.get(x, 0), h.get(x + 1, 0))
+             + int(active.get(x, 0)) for x in range(-s, s + 1)}
+    T = len(noise_steps)
+    return [h.get(x, 0) for x in range(-T, T + 1)]
 
 
 def geometric_pmf(q: float, m) -> np.ndarray:

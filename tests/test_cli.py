@@ -108,6 +108,14 @@ def test_png_coupling_check(tmp_path):
     assert "25/25 exact" in res.stdout
 
 
+def test_png_coupling_check_rejects_q_outside_unit_interval(tmp_path):
+    from airypng.cli import EXIT_USAGE
+    res = run_cli(["png", "--coupling-check", "--q", "1.0", "--size", "3",
+                   "--seeds", "2"], tmp_path)
+    assert res.returncode == EXIT_USAGE
+    assert "q must lie in (0, 1)" in res.stderr
+
+
 def test_png_profile_dump(tmp_path):
     res = run_cli(["png", "--q", "0.25", "--n-steps", "15"], tmp_path)
     assert res.returncode == 0

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from airypng.png_sim import (PngConfig, HeightField, png_step, simulate,
-                             sample_geometric, geometric_from_uniform,
-                             replica_generator, last_passage_G,
-                             last_passage_table, last_passage_batch,
-                             coupling_check, coupling_check_detail,
-                             noise_from_lpp, rescale_H, evolve_batch_heights,
-                             d_scaling, growth_speed, active_sites)
+from airypng import png_sim
+from airypng.png_sim import (PngConfig, HeightField, simulate,
+                             geometric_from_uniform, replica_generator,
+                             last_passage_G, last_passage_table,
+                             last_passage_batch, coupling_check,
+                             coupling_check_detail, rescale_H,
+                             evolve_batch_heights, d_scaling, growth_speed,
+                             active_sites)
 from airypng.errors import DomainError
 
-from oracles import lpp_bruteforce, geometric_pmf
+from oracles import lpp_bruteforce, geometric_pmf, png_heights_oracle
 
 
 def test_config_validation():
@@ -47,16 +48,20 @@ def test_geometric_chi_square_gof():
     assert p_value > 0.001
 
 
-def test_scalar_sampler():
-    rng = replica_generator(1, 0, 0)
-    vals = [sample_geometric(0.5, rng) for _ in range(2000)]
-    assert min(vals) >= 0
-    assert np.mean(vals) == pytest.approx(1.0, abs=0.12)
+@pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 1.5, float("nan")])
+@pytest.mark.parametrize("draw", [
+    lambda q: geometric_from_uniform(np.array([0.5]), q),
+    lambda q: evolve_batch_heights(q, 3, 0, 0, [0], [0]),
+    lambda q: coupling_check_detail(0, 3, q),
+], ids=["geometric_from_uniform", "evolve_batch_heights",
+        "coupling_check_detail"])
+def test_noise_paths_reject_q_outside_unit_interval(draw, q):
+    with pytest.raises(DomainError):
+        draw(q)
 
 
 def test_first_step_single_block():
-    rng = replica_generator(5, 0, 0)
-    field = png_step(HeightField.flat(), rng, 0.25)
+    field = simulate(PngConfig(q=0.25, n_steps=1, seed=5))
     assert field.t == 1
     assert field.heights.shape == (3,)
     assert field.heights[0] == field.heights[2] == 0
@@ -65,36 +70,29 @@ def test_first_step_single_block():
 
 
 def test_zero_noise_stays_flat():
-    field = HeightField.flat()
-    for s in range(1, 8):
-        field = png_step(field, None, 0.25,
-                         noise=np.zeros(s, dtype=np.int64))
-    assert np.all(field.heights == 0)
+    T = 7
+    for h in png_sim._grow(np.zeros((1, T * (T + 1) // 2), np.int64), T):
+        assert np.all(h == 0)
 
 
 def test_replay_determinism():
-    a = simulate(PngConfig(q=0.25, n_steps=25, seed=99, log_noise=True))
-    b = simulate(PngConfig(q=0.25, n_steps=25, seed=99, log_noise=True))
+    a = simulate(PngConfig(q=0.25, n_steps=25, seed=99))
+    b = simulate(PngConfig(q=0.25, n_steps=25, seed=99))
     assert np.array_equal(a.heights, b.heights)
-    assert all(np.array_equal(x, y) for x, y in zip(a.noise_log, b.noise_log))
 
 
 def test_growth_cone_and_monotonicity():
-    rng = replica_generator(3, 0, 0)
-    field = HeightField.flat(log_noise=True)
+    T = 29
+    u = replica_generator(3, 0, 0).random((1, T * (T + 1) // 2))
     prev = None
-    for s in range(1, 30):
-        field = png_step(field, rng, 0.4)
-        t = field.t
-        h = field.heights
+    for s, h in enumerate(png_sim._grow(geometric_from_uniform(u, 0.4), T)):
         assert np.all(h >= 0)
+        # nothing grows outside the cone |x| <= s - 1
+        assert np.all(h[0, :T - s + 1] == 0) and np.all(h[0, T + s:] == 0)
         if prev is not None:
-            # pointwise nondecreasing on the common support
-            assert np.all(h[1:-1] >= prev)
+            # pointwise nondecreasing in time
+            assert np.all(h >= prev)
         prev = h.copy()
-    for s, noise in enumerate(field.noise_log, start=1):
-        assert noise.shape == (s,)
-        assert np.all(active_sites(s) == np.arange(-(s - 1), s, 2))
 
 
 def test_active_sites_parity():
@@ -108,14 +106,6 @@ def test_active_sites_parity():
 # Last-passage percolation.
 # ---------------------------------------------------------------------------
 
-def test_lpp_field_recurrence():
-    from airypng.png_sim import lpp_field
-    rng = np.random.default_rng(8)
-    fld = lpp_field(rng.integers(0, 5, (4, 4)))
-    assert fld.g[0, 0] == fld.w[0, 0]
-    assert fld.g[3, 3] == fld.w[3, 3] + max(fld.g[2, 3], fld.g[3, 2])
-
-
 def test_lpp_single_cell():
     w = np.array([[7]])
     assert last_passage_G(1, 1, w) == 7
@@ -127,13 +117,15 @@ def test_lpp_all_ones():
 
 
 def test_lpp_against_bruteforce():
+    # signed weights: a missing up/left neighbour means no path, not 0
+    assert last_passage_G(1, 2, [[-1, -1]]) == -2
     rng = np.random.default_rng(0)
-    for _ in range(25):
-        w = rng.integers(0, 7, (3, 3))
-        assert last_passage_G(3, 3, w) == lpp_bruteforce(w)
-    for _ in range(5):
-        w = rng.integers(0, 5, (4, 5))
-        assert last_passage_G(4, 5, w) == lpp_bruteforce(w)
+    for shape, lo, hi in [((3, 3), -6, 7), ((4, 5), -4, 5), ((1, 6), -3, 3),
+                          ((5, 1), -3, 3)]:
+        for _ in range(10):
+            w = rng.integers(lo, hi, shape)
+            assert last_passage_G(*shape, w) == lpp_bruteforce(w)
+            assert last_passage_batch(w[None])[0] == lpp_bruteforce(w)
 
 
 def test_lpp_batch_matches_single():
@@ -174,27 +166,49 @@ def test_coupling_large():
     assert all(coupling_check(seed, 200) for seed in range(10))
 
 
-def test_coupling_sensitivity_to_corruption():
-    # corrupting one noise entry at the last step must break the identity
-    # at the cell fed by that entry
-    rng = replica_generator(12, 1, 0)
+def test_coupling_sensitivity_to_corruption(monkeypatch):
+    # bumping the noise entry that feeds cell (N, N) -- position x = 0 at
+    # the last step T = 2N - 1 -- must break the identity there, and only
+    # there, since (N, N) is the last cell in (i, j) order
     N = 12
-    w = geometric_from_uniform(rng.random((N, N)), 0.25)
-    g = last_passage_table(w)
-    field = HeightField.flat()
-    last = 2 * N - 1
-    for s in range(1, last + 1):
-        noise = noise_from_lpp(w, s)
-        if s == last:
-            noise = noise.copy()
-            noise[N - 1] += 1  # position x = 0, i.e. the (N, N) cell
-        field = png_step(field, None, 0.25, noise=noise)
-    assert field.heights[0 + field.t] == g[N - 1, N - 1] + 1
+    T = 2 * N - 1
+    grow = png_sim._grow
+
+    def bumped(noise, n_steps):
+        noise = noise.copy()
+        noise[0, T * (T - 1) // 2 + N - 1] += 1
+        return grow(noise, n_steps)
+
+    monkeypatch.setattr(png_sim, "_grow", bumped)
+    w = geometric_from_uniform(replica_generator(12, 1, 0).random((N, N)),
+                               0.25)
+    G = int(last_passage_table(w)[N - 1, N - 1])
+    assert coupling_check_detail(12, N) == (False, (N, N, G, G + 1))
+
+
+def test_coupling_reports_first_violation_in_ij_order(monkeypatch):
+    # two corrupted table cells; (6, 2) comes first column by column, (4, 7)
+    # comes first row by row, which is the order the report promises
+    table = png_sim.last_passage_table
+
+    def corrupted(w):
+        g = table(w)
+        g[5, 1] += 3
+        g[3, 6] -= 2
+        return g
+
+    monkeypatch.setattr(png_sim, "last_passage_table", corrupted)
+    w = geometric_from_uniform(replica_generator(4, 1, 0).random((8, 8)),
+                               0.25)
+    h = int(table(w)[3, 6])
+    assert coupling_check_detail(4, 8) == (False, (4, 7, h - 2, h))
 
 
 def test_coupling_size_domain():
     with pytest.raises(DomainError):
         coupling_check(0, 500)
+    with pytest.raises(DomainError):
+        coupling_check_detail(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +249,24 @@ def test_rescale_needs_odd_time():
 # Batched evolution.
 # ---------------------------------------------------------------------------
 
+def _step_draws(gen, q, T):
+    """Noise drawn step by step, s uniforms at step s."""
+    return [geometric_from_uniform(gen.random(s), q) for s in range(1, T + 1)]
+
+
 def test_batch_matches_sequential():
     q, T = 0.25, 23
-    gen = replica_generator(99, 5, 3)
-    field = HeightField.flat()
-    for _ in range(T):
-        field = png_step(field, gen, q)
+    noise = _step_draws(replica_generator(99, 5, 3), q, T)
     batch = evolve_batch_heights(q, T, 99, 5, [3], list(range(-T, T + 1)))
-    assert np.array_equal(batch[0], field.heights)
+    assert batch[0].tolist() == png_heights_oracle(noise)
+
+
+def test_simulate_matches_scalar_recursion():
+    q, T = 0.3, 17
+    noise = _step_draws(replica_generator(8, 0, 0), q, T)
+    field = simulate(PngConfig(q=q, n_steps=T, seed=8))
+    assert field.t == T
+    assert field.heights.tolist() == png_heights_oracle(noise)
 
 
 def test_batch_grouping_invariance():
