@@ -10,7 +10,6 @@ from .airy_kernel import (SpaceTimePoint, extended_airy_kernel, a_tilde,
 from .fredholm import (TimeGrid, DiscretizedOperator, build_operator,
                        gap_probability, tw2_cdf, tw2_pdf,
                        conditional_window_probability,
-                       conditional_window_report,
                        increment_variance, long_range_covariance,
                        moment_identity_check)
 from .png_sim import (PngConfig, HeightField, simulate, last_passage_G,

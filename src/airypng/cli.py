@@ -59,26 +59,32 @@ def write_csv(path: Path, columns, rows, invocation: str, seed) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def parse_floats(spec: str, sep: str = ",", count: int = 0):
+    """Finite numbers separated by ``sep``; exactly ``count`` of them if
+    given."""
+    try:
+        values = [float(p) for p in spec.split(sep)]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(spec)
+    except ValueError as exc:
+        raise DomainError(f"{spec!r} is not {sep!r}-separated finite "
+                          "numbers") from exc
+    if count and len(values) != count:
+        raise DomainError(f"{spec!r} needs {count} {sep!r}-separated numbers")
+    return values
+
+
 def parse_grid(spec: str) -> np.ndarray:
     """start:stop:step, endpoints included within half a step."""
-    try:
-        start, stop, step = (float(p) for p in spec.split(":"))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"grid {spec!r} is not start:stop:step") from exc
+    start, stop, step = parse_floats(spec, ":", 3)
     if step <= 0 or stop < start:
-        raise argparse.ArgumentTypeError(f"grid {spec!r} must increase")
+        raise DomainError(f"grid {spec!r} must increase")
     count = int(math.floor((stop - start) / step + 0.5)) + 1
     return start + step * np.arange(count)
 
 
-def parse_floats(spec: str):
-    return [float(p) for p in spec.split(",")]
-
-
 def parse_window(spec: str):
-    a, b = (float(p) for p in spec.split(":"))
-    return a, b
+    return tuple(parse_floats(spec, ":", 2))
 
 
 def _threads(args) -> int:
@@ -186,8 +192,7 @@ def cmd_conditional(args, argv) -> int:
     windows = [parse_window(w) for w in args.windows.split(",")]
     s_gaps = parse_floats(args.s_gaps)
     table = harness.run_airy_brownian_experiment(
-        args.t1, args.p1, parse_floats(args.epsilons), s_gaps, windows,
-        delta1=args.delta1)
+        args.t1, args.p1, parse_floats(args.epsilons), s_gaps, windows)
     rows = [(r.epsilon, r.estimate, r.gaussian_target, r.abs_error)
             for r in table["rows"]]
     write_csv(out / "conditional.csv",
@@ -334,7 +339,7 @@ def cmd_verify(args, argv) -> int:
         windows = [parse_window(w) for w in args.windows.split(",")]
         table = harness.run_airy_brownian_experiment(
             args.t1, args.p1, parse_floats(args.epsilons),
-            parse_floats(args.s_gaps), windows, delta1=args.delta1)
+            parse_floats(args.s_gaps), windows)
         rows = [(r.epsilon, r.estimate, r.gaussian_target, r.abs_error)
                 for r in table["rows"]]
         write_csv(out / "airy_trend.csv",
@@ -401,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--s-gaps", default="1.0")
     c.add_argument("--windows", default="-1:1",
                    help="comma-separated a:b windows")
-    c.add_argument("--delta1", type=float, default=0.02)
     c.add_argument("--plot", help="SVG file name")
     c.set_defaults(fn=cmd_conditional)
 
@@ -440,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--epsilons", default="0.2,0.1,0.05")
     v.add_argument("--s-gaps", default="1.0")
     v.add_argument("--windows", default="-1:1")
-    v.add_argument("--delta1", type=float, default=0.02)
     v.set_defaults(fn=cmd_verify)
     return top
 

@@ -121,21 +121,20 @@ def _operator_from_legs(legs) -> DiscretizedOperator:
     )
 
 
+def _grid_legs(grid: TimeGrid, n: int, L: float, npp: int) -> list:
+    return [Leg(t, *_leg_rule(xi, xi + L, n), npp)
+            for t, xi in zip(grid.times, grid.thresholds)]
+
+
 def build_operator(grid: TimeGrid, n: int = DEFAULT_NODES,
                    L: float = DEFAULT_CUTOFF,
                    npp: int = 48) -> DiscretizedOperator:
     """Assemble the symmetrized Nystrom matrix of f^1/2 A f^1/2."""
-    legs = []
-    for t, xi in zip(grid.times, grid.thresholds):
-        nodes, weights = _leg_rule(xi, xi + L, n)
-        legs.append(Leg(t, nodes, weights, npp))
-    return _operator_from_legs(legs)
+    return _operator_from_legs(_grid_legs(grid, n, L, npp))
 
 
 def _det_i_minus(D: np.ndarray) -> float:
     sign, logdet = np.linalg.slogdet(np.eye(D.shape[0]) - D)
-    if sign == 0.0:
-        return 0.0
     return float(sign * math.exp(logdet))
 
 
@@ -143,30 +142,59 @@ def _gap_value(grid: TimeGrid, n: int, L: float, npp: int) -> float:
     return _det_i_minus(build_operator(grid, n, L, npp).block_matrix)
 
 
-def gap_probability(grid: TimeGrid, n: int = DEFAULT_NODES,
-                    L: float = DEFAULT_CUTOFF, refine: bool = True) -> float:
-    """P[A(t_i) <= xi_i for all i] as det(I - D).
+def _density_value(grid: TimeGrid, n: int, L: float, npp: int):
+    """(P, dP/dxi_1) from one bordered Nystrom matrix D+: the legs of
+    ``grid`` plus a one-node probe leg at (t_1, xi_1) of weight 1.
 
-    With ``refine`` the value is accepted only if the (2n, L+4) rerun moves
-    it by less than 1e-8; the refined value is returned.  For a single time
-    the kernel is the closed form, so the rerun certifies the two
-    approximations left: the n-node Nystrom quadrature and the truncation
-    of (xi, inf) at xi + L.  With several times it also doubles the z-grid
-    nodes per panel (48 to 96) of the blocks between times.
+    With D the leading block, P = det(I - D), and moving the endpoint xi_1
+    gives dP/dxi_1 = P R(xi_1, xi_1), the resolvent kernel at the endpoint
+    (Tracy-Widom 1994): R = D+_pp + D+_p,: (I - D)^-1 D+_:,p.
     """
+    probe = Leg(grid.times[0], [grid.thresholds[0]], np.ones(1), npp)
+    M = _operator_from_legs(_grid_legs(grid, n, L, npp) + [probe]).block_matrix
+    np.negative(M, out=M)
+    M.flat[::M.shape[0] + 1] += 1.0      # M = I - D+, formed in place
+    k = M.shape[0] - 1
+    sign, logdet = np.linalg.slogdet(M[:k, :k])
+    P = float(sign * math.exp(logdet))
+    border = M[k, :k] @ np.linalg.solve(M[:k, :k], M[:k, k])
+    return P, P * float(1.0 - M[k, k] + border)
+
+
+def _certified(value, grid: TimeGrid, n: int, L: float, refine: bool, what):
+    """``value(grid, n, L, npp)``, accepted only if the (2n, L+4) rerun,
+    which also doubles the z-grid nodes per panel (48 to 96) of the blocks
+    between times, moves each component by less than 1e-8; the rerun's
+    result is returned.  For a single time the kernel is the closed form,
+    so the rerun certifies the n-node Nystrom quadrature and the truncation
+    of (xi, inf) at xi + L.  Without ``refine`` the first result is
+    returned unchecked."""
     if any(xi < THRESHOLD_MIN for xi in grid.thresholds):
         raise DomainError(f"thresholds below {THRESHOLD_MIN} are unsupported")
     if n < 16 or L < 8:
-        raise DomainError("gap_probability needs n >= 16 and L >= 8")
+        raise DomainError(f"{what} needs n >= 16 and L >= 8")
+    base = value(grid, n, L, 48)
     if not refine:
-        return _gap_value(grid, n, L, 48)
-    base = _gap_value(grid, n, L, 48)
-    fine = _gap_value(grid, 2 * n, L + 4.0, 96)
-    if not abs(base - fine) <= 1e-8:
-        raise NumericsError(
-            f"gap_probability refinement moved {abs(base - fine):.3e}",
-            estimates=(base, fine))
+        return base
+    fine = value(grid, 2 * n, L + 4.0, 96)
+    moved = float(np.max(np.abs(np.subtract(base, fine))))
+    if not moved <= 1e-8:
+        raise NumericsError(f"{what} refinement moved {moved:.3e}",
+                            estimates=(base, fine))
     return fine
+
+
+def gap_probability(grid: TimeGrid, n: int = DEFAULT_NODES,
+                    L: float = DEFAULT_CUTOFF, refine: bool = True) -> float:
+    """P[A(t_i) <= xi_i for all i] as det(I - D), certified by
+    ``_certified``."""
+    return _certified(_gap_value, grid, n, L, refine, "gap_probability")
+
+
+def _gap_density(grid: TimeGrid, n: int, L: float, refine: bool):
+    """(P, dP/dxi_1) of the gap event of ``grid``, both certified; every
+    density and conditional probability is built on it."""
+    return _certified(_density_value, grid, n, L, refine, "density")
 
 
 # ---------------------------------------------------------------------------
@@ -181,29 +209,21 @@ def _tw2_cached(s: float, n: int, L: float, refine: bool) -> float:
 def tw2_cdf(s: float, n: int = DEFAULT_NODES, L: float = DEFAULT_CUTOFF,
             refine: bool = True) -> float:
     """F_2(s), the GUE Tracy-Widom distribution function, for s >= -8."""
-    s = float(s)
-    if s < THRESHOLD_MIN:
-        raise DomainError("tw2_cdf supports s >= -8")
-    return _tw2_cached(s, n, float(L), refine)
+    return _tw2_cached(float(s), n, float(L), refine)
 
 
-def tw2_pdf(s: float, delta: float = 2e-3, n: int = DEFAULT_NODES,
-            L: float = DEFAULT_CUTOFF, refine: bool = True) -> float:
-    """Central finite difference (F_2(s+delta) - F_2(s-delta)) / (2 delta)."""
-    s = float(s)
-    if s < -7.5:
-        raise DomainError("tw2_pdf supports s >= -7.5")
-    if not 1e-4 <= delta <= 1e-2:
-        raise DomainError("tw2_pdf needs delta in [1e-4, 1e-2]")
-    hi = tw2_cdf(s + delta, n=n, L=L, refine=refine)
-    lo = tw2_cdf(s - delta, n=n, L=L, refine=refine)
-    return (hi - lo) / (2.0 * delta)
+def tw2_pdf(s: float, n: int = DEFAULT_NODES, L: float = DEFAULT_CUTOFF,
+            refine: bool = True) -> float:
+    """F_2'(s) for s >= -8, exactly: F_2(s) times the resolvent of the Airy
+    kernel at the endpoint s (``_gap_density`` on one time), under the same
+    refinement certificate as ``tw2_cdf``."""
+    return _gap_density(TimeGrid((0.0,), (float(s),)), n, L, refine)[1]
 
 
 @lru_cache(maxsize=None)
 def _tw2_moments(n: int = DEFAULT_NODES, L: float = DEFAULT_CUTOFF):
-    """(mean, variance) of TW2 from quadrature of the finite-difference
-    density over [-7.5, 8]."""
+    """(mean, variance) of TW2 from 128-node Gauss quadrature of the exact
+    density ``tw2_pdf`` over [-7.5, 8]."""
     nodes, weights = panel_rule(np.linspace(-7.5, 8.0, 17), 8)
     dens = np.array([tw2_pdf(float(s), n=n, L=L, refine=False)
                      for s in nodes])
@@ -214,44 +234,28 @@ def _tw2_moments(n: int = DEFAULT_NODES, L: float = DEFAULT_CUTOFF):
 
 
 # ---------------------------------------------------------------------------
-# Joint-CDF boxes and the conditional window probability of the local
-# Brownian comparison.
+# The conditional window probability of the local Brownian comparison.
 # ---------------------------------------------------------------------------
 
-def _box_probability(times, lows, highs, n, L, refine) -> float:
-    """P[lows_i < A(t_i) <= highs_i for all i] by the 2^m vertex sum of the
-    joint CDF."""
-    m = len(times)
-    total = 0.0
-    for mask in range(1 << m):
-        vertex = [highs[i] if mask & (1 << i) else lows[i] for i in range(m)]
-        sign = (-1) ** (m - bin(mask).count("1"))
-        total += sign * gap_probability(
-            TimeGrid(tuple(times), tuple(vertex)), n=n, L=L, refine=refine)
-    return total
-
-
 def conditional_window_probability(t1: float, p1: float, offsets,
-                                   epsilon: float, delta1: float = 0.02,
-                                   n: int = 160, L: float = DEFAULT_CUTOFF,
+                                   epsilon: float, n: int = 160,
+                                   L: float = DEFAULT_CUTOFF,
                                    refine: bool = True) -> float:
     """P[A(t_i) in [p1 + a_i sqrt(eps), p1 + b_i sqrt(eps)] for all i >= 2
-    given A(t_1) = p1], with the conditioning replaced by a finite
-    difference of width ``delta1`` at time t_1.
+    given A(t_1) = p1], with exact conditioning.
 
-    ``offsets`` lists (s_gap, a, b) per later time; t_i = t_{i-1} +
-    s_gap * epsilon.
+    The joint density at A(t_1) = p1 is the 2^(m-1)-vertex box sum of
+    dP/dxi_1 at xi_1 = p1 over the later windows (``_gap_density``); it is
+    divided by the TW2 density F_2'(p1).  ``offsets`` lists (s_gap, a, b)
+    per later time; t_i = t_{i-1} + s_gap * epsilon.
     """
     offsets = list(offsets)
     if not 1 <= len(offsets) <= 3:
         raise DomainError("conditional window supports 1..3 offsets")
     if not 0.01 <= epsilon <= 0.5:
         raise DomainError("epsilon must lie in [0.01, 0.5]")
-    if not 1e-3 <= delta1 <= 1e-1:
-        raise DomainError("delta1 must lie in [1e-3, 1e-1]")
     times = [float(t1)]
-    lows = [p1 - delta1]
-    highs = [p1]
+    windows = []
     root = math.sqrt(epsilon)
     for s_gap, a, b in offsets:
         if not s_gap > 0:
@@ -259,26 +263,19 @@ def conditional_window_probability(t1: float, p1: float, offsets,
         if a > b:
             raise DomainError("window needs a <= b")
         times.append(times[-1] + s_gap * epsilon)
-        lows.append(p1 + a * root)
-        highs.append(p1 + b * root)
-    numerator = _box_probability(times, lows, highs, n, L, refine)
-    denominator = (tw2_cdf(p1, n=n, L=L, refine=refine)
-                   - tw2_cdf(p1 - delta1, n=n, L=L, refine=refine))
-    if denominator < 1e-8:
+        windows.append((p1 + a * root, p1 + b * root))
+    density = tw2_pdf(p1, n=n, L=L, refine=refine)
+    if density < 1e-8:
         raise NumericsError(
-            f"conditioning denominator {denominator:.3e} is ill-conditioned")
-    return numerator / denominator
-
-
-def conditional_window_report(t1, p1, offsets, epsilon, delta1=0.02,
-                              n=160, L=DEFAULT_CUTOFF):
-    """Estimate plus a half-step Richardson companion, for reporting."""
-    est = conditional_window_probability(t1, p1, offsets, epsilon,
-                                         delta1=delta1, n=n, L=L)
-    half = conditional_window_probability(t1, p1, offsets, epsilon,
-                                          delta1=delta1 / 2.0, n=n, L=L)
-    return {"estimate": est, "estimate_half_delta": half,
-            "delta1": delta1, "epsilon": epsilon}
+            f"conditioning density {density:.3e} is ill-conditioned")
+    m = len(offsets)
+    joint = 0.0
+    for mask in range(1 << m):
+        vertex = [w[mask >> i & 1] for i, w in enumerate(windows)]
+        sign = (-1) ** (m - bin(mask).count("1"))
+        joint += sign * _gap_density(TimeGrid(tuple(times), (p1, *vertex)),
+                                     n, L, refine)[1]
+    return joint / density
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +351,8 @@ def _covariance(t: float, n: int, L: float, tol: float = 5e-3) -> float:
 
 def increment_variance(t: float, n: int = 96, L: float = DEFAULT_CUTOFF) -> float:
     """Var(A(t) - A(0)) = 2 (Var TW2 - Cov(A(t), A(0))) for t in
-    [0.02, 0.5]."""
+    [0.02, 0.5]; Var TW2 is ``_tw2_moments``, the quadrature of the exact
+    density."""
     t = float(t)
     if t == 0.0:
         return 0.0

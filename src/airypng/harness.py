@@ -303,8 +303,7 @@ class AiryTrendRow:
 
 
 def run_airy_brownian_experiment(t1: float, p1: float, epsilons,
-                                 s_gaps, windows, delta1: float = 0.02,
-                                 n: int = 160) -> dict:
+                                 s_gaps, windows, n: int = 160) -> dict:
     """Conditional window probabilities against the Gaussian product, per
     epsilon, with the monotone-trend flag (20% slack per step)."""
     s_gaps = [float(s) for s in s_gaps]
@@ -314,7 +313,7 @@ def run_airy_brownian_experiment(t1: float, p1: float, epsilons,
     for eps in epsilons:
         offsets = [(s, a, b) for s, (a, b) in zip(s_gaps, windows)]
         est = fredholm.conditional_window_probability(
-            t1, p1, offsets, float(eps), delta1=delta1, n=n)
+            t1, p1, offsets, float(eps), n=n)
         rows.append(AiryTrendRow(epsilon=float(eps), estimate=est,
                                  gaussian_target=target,
                                  abs_error=abs(est - target)))

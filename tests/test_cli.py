@@ -46,6 +46,20 @@ def test_unknown_flag_usage_error(tmp_path):
     assert res.returncode == EXIT_USAGE
 
 
+@pytest.mark.parametrize("args", [
+    ["tw2", "--s-grid", "1:0:0.1"],
+    ["tw2", "--s-grid", "0:1"],
+    ["tw2", "--s-grid", "nan:1:0.1"],
+    ["gap", "--times", "0,,1", "--thresholds", "0,0"],
+    ["conditional", "--p1", "-1", "--epsilons", "0.2", "--windows", "1"],
+])
+def test_malformed_grid_list_and_window_are_usage_errors(tmp_path, args):
+    res = run_cli(args, tmp_path)
+    assert res.returncode == EXIT_USAGE
+    assert "usage error" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_okounkov_check(tmp_path):
     res = run_cli(["kernel", "--okounkov-check", "--alpha", "0.5"], tmp_path)
     assert res.returncode == 0
@@ -84,6 +98,15 @@ def test_conditional_trend_table(tmp_path):
     assert len(rows) == 2
     errs = [float(r.split(",")[3]) for r in rows]
     assert errs[1] <= errs[0] * 1.2
+
+
+def test_conditioning_width_flag_is_gone(tmp_path):
+    # conditioning on A(t_1) = p1 is exact; there is no window width to set
+    for command in (["conditional"], ["verify", "airy-brownian"]):
+        res = run_cli([*command, "--p1", "-1.0", "--epsilons", "0.2",
+                       "--delta1", "0.02"], tmp_path)
+        assert res.returncode == EXIT_USAGE
+        assert "--delta1" in res.stderr
 
 
 def test_numeric_failure_exit_code(tmp_path):

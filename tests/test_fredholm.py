@@ -8,10 +8,10 @@ from airypng.airy_kernel import (Leg, extended_airy_kernel, kernel_block,
                                  _gap_key, _negative_grid, _positive_grid)
 from airypng.fredholm import (TimeGrid, build_operator, gap_probability,
                               tw2_cdf, tw2_pdf, conditional_window_probability,
-                              conditional_window_report, increment_variance,
-                              long_range_covariance, moment_identity_check,
-                              _tw2_moments, _kernel_block, _leg_rule,
-                              DEFAULT_CUTOFF)
+                              increment_variance, long_range_covariance,
+                              moment_identity_check, _tw2_moments,
+                              _gap_density, _kernel_block, _leg_rule,
+                              _operator_from_legs, DEFAULT_CUTOFF)
 from airypng.errors import DomainError, NumericsError
 
 from oracles import f2_nystrom_oracle, F2_AT_ZERO
@@ -62,7 +62,7 @@ def test_left_tail_range():
 
 
 def test_pdf_positive_and_normalized():
-    for s in (-4.0, -2.0, 0.0, 2.0):
+    for s in (-8.0, -4.0, -2.0, 0.0, 2.0):
         assert tw2_pdf(s, n=128, refine=False) > 0.0
     nodes, weights = np.polynomial.legendre.leggauss(64)
     lo, hi = -7.5, 8.0
@@ -78,15 +78,66 @@ def test_pdf_mode_location():
     assert grid[int(np.argmax(dens))] == pytest.approx(-1.77, abs=0.15)
 
 
-def test_pdf_delta_domain():
-    with pytest.raises(DomainError):
-        tw2_pdf(0.0, delta=1e-5)
+def _richardson(f, x, h=1e-3):
+    """Derivative of f at x from central differences at h and h/2,
+    extrapolated to h = 0."""
+    coarse = (f(x + h) - f(x - h)) / (2.0 * h)
+    fine = (f(x + h / 2) - f(x - h / 2)) / h
+    return (4.0 * fine - coarse) / 3.0
+
+
+@pytest.mark.parametrize("s", [-4.0, -2.0, 0.0, 2.0])
+def test_pdf_matches_richardson_on_cdf(s):
+    assert abs(tw2_pdf(s) - _richardson(tw2_cdf, s)) <= 1e-9
+
+
+def _bordered(grid, n):
+    """Nystrom matrix of ``grid`` bordered by a one-node probe leg of
+    weight 1 at (t_1, xi_1)."""
+    legs = [Leg(t, *_leg_rule(xi, xi + DEFAULT_CUTOFF, n))
+            for t, xi in zip(grid.times, grid.thresholds)]
+    legs.append(Leg(grid.times[0], [grid.thresholds[0]], np.ones(1)))
+    return _operator_from_legs(legs).block_matrix
+
+
+@pytest.mark.parametrize("times, thresholds", [
+    ((0.0,), (-2.0,)),
+    ((0.0, 0.5), (-1.0, 0.5)),
+    ((0.0, 3.0), (-1.0, 0.5)),
+    ((0.0, 0.2, 0.4), (-1.0, 0.0, 0.3))])
+def test_density_is_bordered_determinant_difference(times, thresholds):
+    # det(I - D+) = det(I - D) (1 - R(xi_1, xi_1)) by the Schur complement
+    grid = TimeGrid(times, thresholds)
+    P, dP = _gap_density(grid, n=96, L=DEFAULT_CUTOFF, refine=False)
+    Dp = _bordered(grid, 96)
+    k = Dp.shape[0] - 1
+    eye = np.eye(k + 1)
+    inner = np.linalg.det(eye[:k, :k] - Dp[:k, :k])
+    outer = np.linalg.det(eye - Dp)
+    assert P == pytest.approx(inner, abs=1e-14)
+    assert abs(dP - (inner - outer)) <= 1e-12
+
+
+@pytest.mark.parametrize("times, thresholds", [
+    ((0.0, 0.5), (-1.0, 0.5)),    # the heat-kernel decomposition
+    ((0.0, 3.0), (-1.0, 0.5)),    # the mirrored integral
+    ((0.0, 1.9), (-6.0, -6.0)),   # both routes inside one operator
+    ((0.0, 0.2, 0.4), (-1.0, 0.0, 0.3))])
+def test_threshold_derivative_matches_richardson(times, thresholds):
+    def gap(xi1):
+        return gap_probability(TimeGrid(times, (xi1, *thresholds[1:])))
+    want = _richardson(gap, thresholds[0])
+    P, dP = _gap_density(TimeGrid(times, thresholds), n=192,
+                         L=DEFAULT_CUTOFF, refine=True)
+    assert P == gap(thresholds[0])
+    # absolute and relative: the mixed-route value is only about 4e-13
+    assert abs(dP - want) <= 1e-9 * min(1.0, abs(want))
 
 
 def test_tw2_moments():
     mean, var = _tw2_moments()
-    assert mean == pytest.approx(-1.7711, abs=2e-3)
-    assert var == pytest.approx(0.8132, abs=2e-3)
+    assert mean == pytest.approx(-1.7710868074, abs=1e-9)
+    assert var == pytest.approx(0.8131947928, abs=1e-9)
 
 
 def test_threshold_monotonicity_random_pairs():
@@ -131,6 +182,8 @@ def test_refinement_certificate():
 def test_threshold_domain():
     with pytest.raises(DomainError):
         gap_probability(TimeGrid((0.0,), (-9.0,)))
+    with pytest.raises(DomainError):
+        tw2_pdf(-8.5)
 
 
 def test_refinement_failure_raises_with_estimates():
@@ -253,20 +306,17 @@ def test_conditional_error_shrinks_with_epsilon():
     assert errs[1] < errs[0]
 
 
-def test_conditional_report_contains_richardson():
-    rep = conditional_window_report(0.0, -1.0, [(1.0, -1.0, 1.0)], 0.2,
-                                    n=96)
-    assert abs(rep["estimate"] - rep["estimate_half_delta"]) < 5e-3
-
-
 def test_conditional_parameter_domain():
     with pytest.raises(DomainError):
         conditional_window_probability(0.0, -1.0, [(1.0, -1.0, 1.0)], 0.6)
     with pytest.raises(DomainError):
-        conditional_window_probability(0.0, -1.0, [(1.0, -1.0, 1.0)], 0.1,
-                                       delta1=0.5)
-    with pytest.raises(DomainError):
         conditional_window_probability(0.0, -1.0, [], 0.1)
+
+
+def test_conditional_rejects_vanishing_density():
+    # F_2'(-7) is about 3e-12, below the 1e-8 floor of the conditioning
+    with pytest.raises(NumericsError):
+        conditional_window_probability(0.0, -7.0, [(1.0, -1.0, 1.0)], 0.1)
 
 
 # ---------------------------------------------------------------------------

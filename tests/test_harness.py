@@ -117,7 +117,10 @@ def test_airy_experiment_degenerate_window():
 
 
 def test_airy_experiment_two_step_product_target():
+    # at n = 64 the three-time derivative dP/dxi_1 moves 1.3e-8 under the
+    # (2n, L+4) rerun (the gap-0.1 heat-kernel blocks are under-resolved),
+    # so the certificate rightly refuses it; n = 96 is converged to 4e-13
     table = run_airy_brownian_experiment(
-        0.0, -1.0, [0.1], [1.0, 1.0], [(-1.0, 1.0), (-1.0, 1.0)], n=64)
+        0.0, -1.0, [0.1], [1.0, 1.0], [(-1.0, 1.0), (-1.0, 1.0)], n=96)
     # target is the chained double integral, near but below 0.2709
     assert 0.20 <= table["gaussian_target"] <= 0.2709 + 1e-6

@@ -138,16 +138,21 @@ def test_large_call_keeps_temporaries_bounded():
     assert np.array_equal(ai[42], airy_ai_aip_vec(x[42])[0])
 
 
+def _tracer():
+    """perfbench's tracer module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_traced_airy_names_exist():
     # perfbench's tracer counts Airy work only through the module
     # attributes it wraps, so every module that holds an Airy function
     # must have that name in its table, or the per-layer metrics would
     # silently drop Airy time
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    wrapped = {(module, attr) for module, attr, span, *_ in tracer.WRAPPED
+    wrapped = {(module, attr) for module, attr, span, *_ in _tracer().WRAPPED
                if span == "special.airy"}
     airy = (special.airy_ai_aip_vec, special.airy_ai, special.airy_ai_prime)
     held = set()
@@ -160,6 +165,18 @@ def test_traced_airy_names_exist():
                  if any(value is fn for fn in airy)}
     assert ("airypng.airy_kernel", "airy_ai_aip_vec") in held
     assert held <= wrapped, held - wrapped
+
+
+def test_traced_fredholm_names_exist():
+    # every fredholm span the tracer times must name a live attribute, or
+    # a refactor would silently move its time out of fredholm.tw2,
+    # fredholm.conditional and the rest
+    entries = [(module, attr) for module, attr, span, *_ in _tracer().WRAPPED
+               if span.startswith("fredholm.")]
+    assert entries
+    missing = [(module, attr) for module, attr in entries
+               if not hasattr(importlib.import_module(module), attr)]
+    assert not missing, missing
 
 
 # ---------------------------------------------------------------------------
