@@ -16,9 +16,12 @@ batched Monte Carlo, and one row recurrence (_lpp_rows) serves the full
 last-passage table and the batched corner value.
 
 Randomness is counter-based (Philox); the stream of a replica is a pure
-function of (master_seed, stream tag, replica index) and is consumed in the
-canonical order (time ascending, position ascending), so results do not
-depend on batching or worker count.
+function of (master_seed, stream tag, replica index). Heights at positions
+[x_min, x_max] at time T depend only on the noise in their backward light
+cone, x_min - (T-s) <= x <= x_max + (T-s) at step s, so a replica's stream
+feeds only the active sites of that cone, in the canonical order (time
+ascending, position ascending). For [-T, T] this is every active site. The
+results do not depend on batching or worker count.
 """
 
 from __future__ import annotations
@@ -67,10 +70,15 @@ def active_sites(s: int) -> np.ndarray:
 
 def _geometric_floor(u, q: float):
     """floor(log(U)/log(q)) as floats, with U = 1 - u; every path that turns
-    uniforms into geometric noise goes through here."""
+    uniforms into geometric noise goes through here. The steps run in place
+    on one copy of u."""
     if not 0.0 < q < 1.0:
         raise DomainError("geometric parameter q must lie in (0, 1)")
-    return np.floor(np.log1p(-u) / math.log(q))
+    v = np.array(u, dtype=np.float64)
+    np.negative(v, out=v)
+    np.log1p(v, out=v)
+    v /= math.log(q)
+    return np.floor(v, out=v)
 
 
 def geometric_from_uniform(u, q: float):
@@ -89,25 +97,41 @@ def replica_generator(master_seed: int, tag: int, replica: int) -> np.random.Gen
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _grow(noise: np.ndarray, n_steps: int):
-    """The growth recursion for a batch, from the flat state. ``noise`` is
-    (B, T(T+1)/2) in canonical order: step s takes the s entries after the
-    first s(s-1)/2, one per active site. Yields the (B, 2T+1) heights on
-    [-T, T], one buffer updated in place, before and after each step; the
-    sites |x| = s are still 0 at time s, so step s updates |x| <= s-1.
+def _cone_windows(n_steps: int, x_min: int, x_max: int):
+    """For each step s = 1..T: the window [a, b] that step s updates (the
+    backward light cone of [x_min, x_max] at time T, cut to |x| <= s-1),
+    the first active site a0 in it and the number n of active sites."""
+    T = n_steps
+    for s in range(1, T + 1):
+        a = max(-(s - 1), x_min - (T - s))
+        b = min(s - 1, x_max + (T - s))
+        a0 = a + (s - a + 1) % 2
+        yield a, b, a0, max(0, (b - a0) // 2 + 1)
+
+
+def _grow(noise: np.ndarray, n_steps: int, cone=None):
+    """The growth recursion for a batch, from the flat state, restricted to
+    the backward light cone of the positions cone = (x_min, x_max) at time
+    T (default the whole line [-T, T]). ``noise`` is (B, active sites of
+    the cone) in canonical order: step s takes the next n entries, one per
+    active site of its window in _cone_windows. Yields the (B, 2T+1)
+    heights on [-T, T], one buffer updated in place, before and after each
+    step; after step s its window is current. The sites |x| = s are still 0
+    at time s, so step s updates |x| <= s-1 at most.
     """
     T = int(n_steps)
+    x_min, x_max = (-T, T) if cone is None else cone
     h = np.zeros((noise.shape[0], 2 * T + 1), dtype=noise.dtype)
     yield h
     off = 0
-    for s in range(1, T + 1):
-        lo = T - s + 1
-        hi = T + s
+    for a, b, a0, n in _cone_windows(T, x_min, x_max):
+        lo = a + T
+        hi = b + T + 1
         grown = np.maximum(np.maximum(h[:, lo - 1:hi - 1], h[:, lo:hi]),
                            h[:, lo + 1:hi + 1])
-        grown[:, ::2] += noise[:, off:off + s]
+        grown[:, a0 - a::2] += noise[:, off:off + n]
         h[:, lo:hi] = grown
-        off += s
+        off += n
         yield h
 
 
@@ -171,20 +195,20 @@ def coupling_check_detail(seed: int, N: int, q: float = 0.25):
     """Run one coupled realization; return (ok, first_violation), the first
     cell in (i, j) order where G(i, j) != h(i-j, i+j-1), as (i, j, G, h).
 
-    w(i, j) is the noise at position i-j and time i+j-1: the k-th active
-    site of step s takes the cell (k+1, s-k), and 0 outside the N x N box.
+    w(i, j) is the noise at position i-j and time i+j-1. The backward light
+    cone of x = 0 at time 2N-1 is exactly the N x N box (|i-j| <= 2N-i-j
+    iff max(i, j) <= N), so the growth takes w read along anti-diagonals,
+    i ascending, as its noise in canonical cone order.
     """
     if not 1 <= N <= 200:
         raise DomainError("coupling_check supports 1 <= N <= 200")
     rng = replica_generator(seed, 1, 0)
     w = geometric_from_uniform(rng.random((N, N)), q)
     T = 2 * N - 1
-    padded = np.zeros((T, T), dtype=HEIGHT_DTYPE)
-    padded[:N, :N] = w
-    step = np.repeat(np.arange(1, T + 1), np.arange(1, T + 1))
-    k = np.arange(step.size) - step * (step - 1) // 2
+    ii, jj = np.divmod(np.arange(N * N), N)
+    noise = w.ravel()[np.lexsort((ii, ii + jj))]
     h_cells = np.zeros((N, N), dtype=HEIGHT_DTYPE)
-    for s, h in enumerate(_grow(padded[k, step - 1 - k][None], T)):
+    for s, h in enumerate(_grow(noise[None], T, (0, 0))):
         i = np.arange(max(1, s - N + 1), min(N, s) + 1)  # j = s + 1 - i
         h_cells[i - 1, s - i] = h[0, 2 * i - s - 1 + T]
     g = last_passage_table(w)
@@ -247,20 +271,25 @@ def evolve_batch_heights(q: float, n_steps: int, master_seed: int, tag: int,
                          replicas, positions) -> np.ndarray:
     """Heights h(x, n_steps) at the given positions for each replica.
 
-    Every replica consumes its own Philox stream in canonical order, so the
-    result is independent of how replicas are grouped into batches.
+    Every replica draws only the noise of the backward light cone of
+    [min(positions), max(positions)] at time n_steps, from its own Philox
+    stream in canonical order, so the result is independent of how replicas
+    are grouped into batches.
     """
     replicas = list(replicas)
     positions = np.asarray(positions, dtype=int)
     T = int(n_steps)
-    if np.any(np.abs(positions) > T):
-        raise DomainError("recorded positions outside the growth cone")
-    n_draws = T * (T + 1) // 2
-    u = np.empty((len(replicas), n_draws))
+    if not 0.0 < q < 1.0:
+        raise DomainError("geometric parameter q must lie in (0, 1)")
+    if positions.size == 0 or np.any(np.abs(positions) > T):
+        raise DomainError("recorded positions missing or outside the growth "
+                          "cone")
+    cone = (int(positions.min()), int(positions.max()))
+    u = np.empty(sum(n for *_, n in _cone_windows(T, *cone)))
+    noise = np.empty((len(replicas), u.size), dtype=np.int32)
     for bi, r in enumerate(replicas):
-        u[bi] = replica_generator(master_seed, tag, r).random(n_draws)
-    noise = _geometric_floor(u, q).astype(np.int32)
-    del u
-    for h in _grow(noise, T):
+        replica_generator(master_seed, tag, r).random(out=u)
+        noise[bi] = _geometric_floor(u, q)
+    for h in _grow(noise, T, cone):
         pass
     return h[:, positions + T].astype(HEIGHT_DTYPE)

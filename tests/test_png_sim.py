@@ -52,9 +52,10 @@ def test_geometric_chi_square_gof():
 @pytest.mark.parametrize("draw", [
     lambda q: geometric_from_uniform(np.array([0.5]), q),
     lambda q: evolve_batch_heights(q, 3, 0, 0, [0], [0]),
+    lambda q: evolve_batch_heights(q, 3, 0, 0, [], [0]),
     lambda q: coupling_check_detail(0, 3, q),
 ], ids=["geometric_from_uniform", "evolve_batch_heights",
-        "coupling_check_detail"])
+        "evolve_batch_heights_no_replicas", "coupling_check_detail"])
 def test_noise_paths_reject_q_outside_unit_interval(draw, q):
     with pytest.raises(DomainError):
         draw(q)
@@ -168,16 +169,16 @@ def test_coupling_large():
 
 def test_coupling_sensitivity_to_corruption(monkeypatch):
     # bumping the noise entry that feeds cell (N, N) -- position x = 0 at
-    # the last step T = 2N - 1 -- must break the identity there, and only
-    # there, since (N, N) is the last cell in (i, j) order
+    # the last step T = 2N - 1, the last entry of the cone of x = 0 -- must
+    # break the identity there, and only there, since (N, N) is the last
+    # cell in (i, j) order
     N = 12
-    T = 2 * N - 1
     grow = png_sim._grow
 
-    def bumped(noise, n_steps):
+    def bumped(noise, n_steps, cone):
         noise = noise.copy()
-        noise[0, T * (T - 1) // 2 + N - 1] += 1
-        return grow(noise, n_steps)
+        noise[0, -1] += 1
+        return grow(noise, n_steps, cone)
 
     monkeypatch.setattr(png_sim, "_grow", bumped)
     w = geometric_from_uniform(replica_generator(12, 1, 0).random((N, N)),
@@ -280,3 +281,73 @@ def test_batch_grouping_invariance():
 def test_batch_position_domain():
     with pytest.raises(DomainError):
         evolve_batch_heights(0.25, 5, 0, 0, [0], [9])
+    with pytest.raises(DomainError):
+        evolve_batch_heights(0.25, 5, 0, 0, [0], [])
+
+
+def _cone_cells(T, x_min, x_max):
+    """(step, position) of the active sites in the backward light cone of
+    [x_min, x_max] at time T, in canonical order."""
+    return [(s, int(x)) for s in range(1, T + 1) for x in active_sites(s)
+            if x_min - (T - s) <= x <= x_max + (T - s)]
+
+
+def test_batch_cone_matches_full_line():
+    # each replica's cone draws, placed in their cells of the canonical
+    # full-line layout with large random values everywhere outside the cone,
+    # grown on the whole line, give the heights of the narrow batch
+    q, T, positions = 0.3, 21, [-3, 1, 4]
+    cells = _cone_cells(T, -3, 4)
+    rng = np.random.default_rng(5)
+    batch = evolve_batch_heights(q, T, 13, 2, range(4), positions)
+    for r in range(4):
+        drawn = geometric_from_uniform(
+            replica_generator(13, 2, r).random(len(cells)), q)
+        placed = dict(zip(cells, drawn))
+        noise = np.array([[placed.get((s, int(x)),
+                                      10 ** 6 + int(rng.integers(10 ** 6)))
+                           for s in range(1, T + 1)
+                           for x in active_sites(s)]])
+        for h in png_sim._grow(noise, T):
+            pass
+        assert h[0, np.array(positions) + T].tolist() == batch[r].tolist()
+
+
+@pytest.mark.parametrize("T", [1, 2, 5, 8, 17])
+def test_light_cone_identity(T):
+    # h(x, T) = G(floor((T+1+x)/2), floor((T+1-x)/2)), G = 0 on an empty
+    # box, at every x of both parities: the cone of x is that box, and its
+    # draws fill it anti-diagonal by anti-diagonal, i ascending
+    q, seed, tag = 0.4, 21, 3
+    for x in range(-T, T + 1):
+        i, j = (T + 1 + x) // 2, (T + 1 - x) // 2
+        h = int(evolve_batch_heights(q, T, seed, tag, [0], [x])[0, 0])
+        cells = sorted(((a, b) for a in range(i) for b in range(j)),
+                       key=lambda c: (c[0] + c[1], c[0]))
+        drawn = geometric_from_uniform(
+            replica_generator(seed, tag, 0).random(len(cells)), q)
+        w = np.zeros((i, j), dtype=np.int64)
+        for (a, b), v in zip(cells, drawn):
+            w[a, b] = v
+        assert h == (last_passage_G(i, j, w) if i and j else 0)
+
+
+@pytest.mark.parametrize("T, positions, draws", [(255, [0, 16], 17_372),
+                                                 (511, [0, 20], 68_041)])
+def test_batch_draws_only_the_cone(monkeypatch, T, positions, draws):
+    drawn = []
+    generator = png_sim.replica_generator
+
+    class Counting:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def random(self, *args, **kwargs):
+            out = self.gen.random(*args, **kwargs)
+            drawn.append(out.size)
+            return out
+
+    monkeypatch.setattr(png_sim, "replica_generator",
+                        lambda *key: Counting(generator(*key)))
+    evolve_batch_heights(0.25, T, 1, 0, [0, 1], positions)
+    assert drawn == [draws, draws]
