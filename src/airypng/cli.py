@@ -88,10 +88,15 @@ def parse_window(spec: str):
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", 0):
+    if args.threads < 0:
+        raise DomainError("--threads must be >= 0")
+    if args.threads:
         return args.threads
     env = os.environ.get("AIRYPNG_THREADS")
     if env:
+        if not (env.isdigit() and int(env) >= 1):
+            raise DomainError(f"AIRYPNG_THREADS={env!r} is not a positive "
+                              "integer")
         return int(env)
     return os.cpu_count() or 1
 
@@ -134,13 +139,11 @@ def cmd_kernel(args, argv) -> int:
         return EXIT_OK
     if args.x_grid is None:
         raise DomainError("--x-grid is required (or use --okounkov-check)")
+    xs = parse_grid(args.x_grid)
     ys = parse_grid(args.y_grid) if args.y_grid else np.array([args.y])
-    rows = []
-    for x in parse_grid(args.x_grid):
-        for y in ys:
-            rows.append((args.s, args.t, x, y,
-                         airy_kernel.extended_airy_kernel(
-                             args.s, args.t, float(x), float(y))))
+    values = airy_kernel.kernel_grid(args.s, args.t, xs, ys)
+    rows = [(args.s, args.t, x, y, float(v))
+            for x, row in zip(xs, values) for y, v in zip(ys, row)]
     write_csv(out / "kernel.csv", ["s", "t", "x", "y", "value"], rows,
               inv, args.master_seed)
     print(f"wrote {len(rows)} kernel values")
@@ -473,8 +476,8 @@ def main(argv=None) -> int:
     argv = _merge_dash_values(list(sys.argv[1:] if argv is None else argv))
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.threads_resolved = _threads(args)
     try:
+        args.threads_resolved = _threads(args)
         return args.fn(args, argv)
     except DomainError as exc:
         parser.exit(EXIT_USAGE, f"usage error: {exc}\n")

@@ -16,10 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, product
 
 import numpy as np
 
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, settled
 from .airy_kernel import Leg, kernel_block
 from .special import gauss_legendre, panel_rule
 
@@ -164,7 +165,7 @@ def _density_value(grid: TimeGrid, n: int, L: float, npp: int):
 def _certified(value, grid: TimeGrid, n: int, L: float, refine: bool, what):
     """``value(grid, n, L, npp)``, accepted only if the (2n, L+4) rerun,
     which also doubles the z-grid nodes per panel (48 to 96) of the blocks
-    between times, moves each component by less than 1e-8; the rerun's
+    between times, moves each component by at most 1e-8; the rerun's
     result is returned.  For a single time the kernel is the closed form,
     so the rerun certifies the n-node Nystrom quadrature and the truncation
     of (xi, inf) at xi + L.  Without ``refine`` the first result is
@@ -173,15 +174,9 @@ def _certified(value, grid: TimeGrid, n: int, L: float, refine: bool, what):
         raise DomainError(f"thresholds below {THRESHOLD_MIN} are unsupported")
     if n < 16 or L < 8:
         raise DomainError(f"{what} needs n >= 16 and L >= 8")
-    base = value(grid, n, L, 48)
-    if not refine:
-        return base
-    fine = value(grid, 2 * n, L + 4.0, 96)
-    moved = float(np.max(np.abs(np.subtract(base, fine))))
-    if not moved <= 1e-8:
-        raise NumericsError(f"{what} refinement moved {moved:.3e}",
-                            estimates=(base, fine))
-    return fine
+    levels = (value(grid, *level)
+              for level in ((n, L, 48), (2 * n, L + 4.0, 96)))
+    return settled(levels, 1e-8, what) if refine else next(levels)
 
 
 def gap_probability(grid: TimeGrid, n: int = DEFAULT_NODES,
@@ -339,14 +334,11 @@ def _covariance_once(t: float, n: int, L: float,
     return 2.0 * total
 
 
-def _covariance(t: float, n: int, L: float, tol: float = 5e-3) -> float:
-    coarse = _covariance_once(t, n, L, u_per_panel=4, x_per_panel=4)
-    fine = _covariance_once(t, n, L, u_per_panel=6, x_per_panel=6)
-    if not abs(coarse - fine) <= tol:
-        raise NumericsError(
-            f"covariance grid refinement moved {abs(coarse - fine):.3e}",
-            estimates=(coarse, fine))
-    return fine
+def _covariance(t: float, n: int, L: float) -> float:
+    """``_covariance_once`` at 4 and then 6 nodes per panel, accepted when
+    the two agree within 5e-3."""
+    return settled((_covariance_once(t, n, L, per, per) for per in (4, 6)),
+                   5e-3, "covariance grid refinement")
 
 
 def increment_variance(t: float, n: int = 96, L: float = DEFAULT_CUTOFF) -> float:
@@ -413,18 +405,17 @@ def _lhs_mesh_estimate(grid: TimeGrid, boxes, mesh: int) -> float:
     """Factorial moment from occupation probabilities of a cell mesh.
 
     Each box is split into ``mesh`` cells; since the process a.s. has at
-    most one particle per shrinking cell,
-      E[#B]            ~ sum_i P[#c_i >= 1]
-      E[#B (#B - 1)]   ~ 2 sum_{i<j} P[#c_i >= 1, #c_j >= 1]
-      E[#B #B']        ~ sum_{i,l} P[#c_i >= 1, #c'_l >= 1]
-    and joint occupation probabilities expand by inclusion-exclusion into
-    void probabilities det(I - K) over cell unions.
+    most one particle per shrinking cell, the falling factorial (#B)_k is
+    k! times the number of k-sets of occupied cells, so
+      E[prod_i (#B_i)_{k_i}] ~ prod_i k_i! sum P[every chosen cell >= 1]
+    over one k_i-set of cells per box, and joint occupation probabilities
+    expand by inclusion-exclusion into void probabilities det(I - K) over
+    cell unions.
     """
     cell_sets = []
     for (ti, (lo, hi), _k) in boxes:
         cell_sets.append([(ti, a, b) for a, b in _cells(lo, hi, mesh)])
     void = _void_dets(grid, cell_sets)
-    m = mesh
 
     def occupied(cells):
         """P[every listed cell holds >= 1 particle], by inclusion-exclusion."""
@@ -436,40 +427,11 @@ def _lhs_mesh_estimate(grid: TimeGrid, boxes, mesh: int) -> float:
                                             else void(chosen))
         return total
 
-    groups = []
-    for b, (_ti, _iv, k) in enumerate(boxes):
-        groups.append((k, [b * mesh + i for i in range(mesh)]))
-
-    if len(groups) == 1:
-        k, cells = groups[0]
-        if k == 1:
-            return sum(occupied((c,)) for c in cells)
-        total = 0.0
-        for a in range(m):
-            for b in range(a + 1, m):
-                total += occupied((cells[a], cells[b]))
-        return 2.0 * total
-    if len(groups) == 2:
-        (k1, cells1), (k2, cells2) = groups
-        if k1 == 1 and k2 == 1:
-            return sum(occupied((c1, c2)) for c1 in cells1 for c2 in cells2)
-        if {k1, k2} == {1, 2}:
-            two_cells, one_cells = \
-                (cells1, cells2) if k1 == 2 else (cells2, cells1)
-            total = 0.0
-            for a in range(m):
-                for b in range(a + 1, m):
-                    for c in one_cells:
-                        total += occupied((two_cells[a], two_cells[b], c))
-            return 2.0 * total
-    if len(groups) == 3:
-        total = 0.0
-        for c1 in groups[0][1]:
-            for c2 in groups[1][1]:
-                for c3 in groups[2][1]:
-                    total += occupied((c1, c2, c3))
-        return total
-    raise DomainError("unsupported box structure")
+    groups = [combinations(range(b * mesh, (b + 1) * mesh), k)
+              for b, (_ti, _iv, k) in enumerate(boxes)]
+    scale = math.prod(math.factorial(k) for *_x, k in boxes)
+    return scale * sum(occupied(sum(cells, ()))
+                       for cells in product(*groups))
 
 
 def _rhs_correlation_integral(grid: TimeGrid, boxes,
@@ -485,30 +447,16 @@ def _rhs_correlation_integral(grid: TimeGrid, boxes,
     legs = [Leg(grid.times[ti], nodes, np.ones_like(nodes))
             for ti, nodes, _w in slots]
     _fill_grids_first(legs)
-    M = [[_kernel_block(legs[i], legs[j]) for j in range(k)]
-         for i in range(k)]
-    w = [slots[i][2] for i in range(k)]
-    if k == 1:
-        return float(np.dot(w[0], np.diagonal(M[0][0])))
-    if k == 2:
-        d0 = np.diagonal(M[0][0])
-        d1 = np.diagonal(M[1][1])
-        dets = d0[:, None] * d1[None, :] - M[0][1] * M[1][0].T
-        return float(w[0] @ dets @ w[1])
-    if k == 3:
-        d0 = np.diagonal(M[0][0])[:, None, None]
-        d1 = np.diagonal(M[1][1])[None, :, None]
-        d2 = np.diagonal(M[2][2])[None, None, :]
-        a01 = M[0][1][:, :, None]
-        a02 = M[0][2][:, None, :]
-        a10 = M[1][0].T[:, :, None]
-        a12 = M[1][2][None, :, :]
-        a20 = M[2][0].T[:, None, :]
-        a21 = M[2][1].T[None, :, :]
-        dets = (d0 * d1 * d2 + a01 * a12 * a20 + a02 * a10 * a21
-                - d0 * a12 * a21 - a01 * a10 * d2 - a02 * d1 * a20)
-        return float(np.einsum("a,b,c,abc->", w[0], w[1], w[2], dets))
-    raise DomainError("total factorial order k must be <= 3")
+    # one k x k correlation matrix per node tuple (a_1, ..., a_k)
+    idx = np.indices((nodes_per_dim,) * k).reshape(k, -1)
+    mats = np.empty((idx.shape[1], k, k))
+    for i in range(k):
+        for j in range(k):
+            mats[:, i, j] = _kernel_block(legs[i], legs[j])[idx[i], idx[j]]
+    weights = slots[0][2]
+    for _ti, _nodes, w in slots[1:]:
+        weights = np.multiply.outer(weights, w)
+    return float(weights.ravel() @ np.linalg.det(mats))
 
 
 def moment_identity_check(grid: TimeGrid, boxes):

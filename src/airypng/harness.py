@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError
 from . import fredholm
+from .special import panel_rule
 from .png_sim import (d_scaling, growth_speed, space_scale,
                       evolve_batch_heights)
 
@@ -123,18 +124,10 @@ def gaussian_window_integral(s_list, bounds) -> float:
         (a, b), s = bounds[0], s_list[0]
         half = 0.5 / math.sqrt(s)
         return 0.5 * (math.erf(b * half) - math.erf(a * half))
-    nodes = []
-    weights = []
-    for a, b in bounds:
-        n_panels = max(1, int(math.ceil((b - a) / 3.0)))
-        edges = np.linspace(a, b, n_panels + 1)
-        xn, wn = np.polynomial.legendre.leggauss(24)
-        xs = np.concatenate([0.5 * (hi - lo) * xn + 0.5 * (hi + lo)
-                             for lo, hi in zip(edges[:-1], edges[1:])])
-        ws = np.concatenate([0.5 * (hi - lo) * wn
-                             for lo, hi in zip(edges[:-1], edges[1:])])
-        nodes.append(xs)
-        weights.append(ws)
+    # 24-node Gauss panels of width <= 3 on each window
+    nodes, weights = zip(*(
+        panel_rule(np.linspace(a, b, max(1, math.ceil((b - a) / 3.0)) + 1),
+                   24) for a, b in bounds))
     dens = np.exp(-nodes[0] ** 2 / (4.0 * s_list[0])) \
         / math.sqrt(4.0 * math.pi * s_list[0]) * weights[0]
     prev = nodes[0]

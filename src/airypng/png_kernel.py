@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, settled
 from .png_sim import d_scaling, growth_speed
 
 _N_MAX_FFT = 1 << 17
@@ -107,6 +107,13 @@ def _coefficient_scans(params, u, v, j_hi, m_hi, n):
     return i_f, i_h
 
 
+def _doublings(n: int, top: int = 2 * _N_MAX_FFT):
+    """n, 2n, 4n, ... up to ``top``."""
+    while n <= top:
+        yield n
+        n *= 2
+
+
 def _ktilde_matrix_once(params, u, v, xs, ys, n):
     ratio = params.r1 / params.r2
     k_terms = min(int(math.ceil(48.0 / -math.log(ratio))), 200_000)
@@ -132,20 +139,13 @@ def ktilde_matrix(params: PngKernelParams, u: int, v: int,
     ys = np.atleast_1d(np.asarray(ys, dtype=int))
     if xs.min() < 0 or ys.min() < 0:
         raise DomainError("height coordinates must be >= 0")
-    n = params.contour_points
-    prev = _ktilde_matrix_once(params, u, v, xs, ys, n)
-    while n <= _N_MAX_FFT:
-        n *= 2
-        cur = _ktilde_matrix_once(params, u, v, xs, ys, n)
-        if float(np.max(np.abs(cur - prev))) <= tol:
-            imag = float(np.max(np.abs(cur.imag)))
-            if imag > 1e-10:
-                raise NumericsError(
-                    f"contour integral imaginary residual {imag:.3e}")
-            return cur.real
-        prev = cur
-    raise NumericsError("contour point-doubling did not converge",
-                        estimates=(prev,))
+    cur = settled((_ktilde_matrix_once(params, u, v, xs, ys, n)
+                   for n in _doublings(params.contour_points)),
+                  tol, "contour point-doubling")
+    imag = float(np.max(np.abs(cur.imag)))
+    if imag > 1e-10:
+        raise NumericsError(f"contour integral imaginary residual {imag:.3e}")
+    return cur.real
 
 
 def k_tilde(params: PngKernelParams, p: LatticePoint,
@@ -167,21 +167,15 @@ def _phi_values_once(params, u, v, deltas, n):
     return co[np.asarray(deltas) % n].real
 
 
-def phi_values(params: PngKernelParams, u: int, v: int, deltas,
-               tol: float = 1e-12) -> np.ndarray:
-    """phi_{2u,2v} as a function of y - x (zero unless u < v)."""
+def phi_values(params: PngKernelParams, u: int, v: int, deltas) -> np.ndarray:
+    """phi_{2u,2v} as a function of y - x (zero unless u < v), point count
+    doubled until two evaluations agree within 1e-12."""
     deltas = np.atleast_1d(np.asarray(deltas, dtype=int))
     if u >= v:
         return np.zeros(deltas.shape)
-    n = max(params.contour_points, 256)
-    prev = _phi_values_once(params, u, v, deltas, n)
-    while n <= _N_MAX_FFT:
-        n *= 2
-        cur = _phi_values_once(params, u, v, deltas, n)
-        if float(np.max(np.abs(cur - prev))) <= tol:
-            return cur
-        prev = cur
-    raise NumericsError("phi point-doubling did not converge")
+    return settled((_phi_values_once(params, u, v, deltas, n)
+                    for n in _doublings(max(params.contour_points, 256))),
+                   1e-12, "phi point-doubling")
 
 
 def phi_discrete(params: PngKernelParams, u: int, v: int,
@@ -215,41 +209,34 @@ def kn_block_matrix(params: PngKernelParams, lines) -> np.ndarray:
     return out
 
 
+def _gap_det(params: PngKernelParams, events, W: int) -> float:
+    """det(I - K_N) on the W sites above each (u, threshold) event."""
+    lines = [(u, np.arange(thr + 1, thr + 1 + W)) for u, thr in events]
+    K = kn_block_matrix(params, lines)
+    sign, logdet = np.linalg.slogdet(np.eye(K.shape[0]) - K)
+    return float(sign * math.exp(logdet))
+
+
 def joint_gap_probability(params: PngKernelParams, events) -> float:
     """P[top line <= threshold at each (u, threshold)]; window fixed at 320.
 
     Test-scale helper for multi-time laws; single-time work should go
     through discrete_gap_probability.
     """
-    lines = [(u, np.arange(thr + 1, thr + 1 + 320)) for u, thr in events]
-    K = kn_block_matrix(params, lines)
-    sign, logdet = np.linalg.slogdet(np.eye(K.shape[0]) - K)
-    return float(sign * math.exp(logdet))
+    return _gap_det(params, events, 320)
 
 
 def discrete_gap_probability(params: PngKernelParams, u: int,
-                             threshold: int, window: int | None = None) -> float:
+                             threshold: int) -> float:
     """P[top line at time 2u has no particle above ``threshold``] as the
     determinant of I - K_N on {threshold+1, ..., threshold+W}, W doubled
-    until the value settles to 1e-8."""
+    up to 1280 until the value settles to 1e-8."""
     if threshold < -1:
         raise DomainError("threshold must be >= -1")
-    if window is not None and window > 600:
-        raise DomainError("window must be <= 600")
-    W = window or 8 * int(math.ceil(d_scaling(params.alpha ** 2)
-                                    * params.N ** (1.0 / 3.0)))
-    prev = None
-    while W <= 1280:
-        xs = np.arange(threshold + 1, threshold + 1 + W)
-        K = ktilde_matrix(params, u, u, xs, xs)
-        sign, logdet = np.linalg.slogdet(np.eye(W) - K)
-        val = float(sign * math.exp(logdet))
-        if prev is not None and abs(val - prev) < 1e-8:
-            return val
-        prev = val
-        W *= 2
-    raise NumericsError("gap window doubling did not converge",
-                        estimates=(prev,))
+    W = 8 * int(math.ceil(d_scaling(params.alpha ** 2)
+                          * params.N ** (1.0 / 3.0)))
+    return settled((_gap_det(params, [(u, threshold)], w)
+                    for w in _doublings(W, 1280)), 1e-8, "gap window doubling")
 
 
 @dataclass(frozen=True)

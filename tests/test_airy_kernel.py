@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from airypng.airy_kernel import (extended_airy_kernel, a_tilde, heat_phi,
-                                 correlation_R, SpaceTimePoint)
+                                 correlation_R, SpaceTimePoint, kernel_grid,
+                                 _route)
 from airypng.special import airy_ai, airy_ai_prime
 from airypng.errors import DomainError
 
@@ -95,6 +96,36 @@ def test_time_order_matters():
 def test_coordinate_domain():
     with pytest.raises(DomainError):
         extended_airy_kernel(0.0, 0.0, -25.0, 0.0)
+
+
+# a 10 x 6 grid whose block route is the one of lo = -11.5
+_GRID_XS = np.arange(-6.0, 3.5, 1.0)
+_GRID_YS = np.arange(-5.5, 3.0, 1.5)
+
+
+@pytest.mark.parametrize("s, t", [(0.3, 0.3), (1.0, 0.4), (0.0, 0.5),
+                                  (0.0, 3.0), (0.0, 1.9)])
+def test_kernel_grid_matches_single_entries(s, t):
+    # equal time, s > t, the decomposition, the mirrored route, and a
+    # route split: at (0, 1.9) the block takes the mirrored route from
+    # its lowest x + y while single entries higher up take the
+    # decomposition, so they agree only within the 1e-11 that
+    # test_operator_entry_structure also allows
+    grid = kernel_grid(s, t, _GRID_XS, _GRID_YS)
+    assert grid.shape == (_GRID_XS.size, _GRID_YS.size)
+    want = [[extended_airy_kernel(s, t, float(x), float(y))
+             for y in _GRID_YS] for x in _GRID_XS]
+    assert np.max(np.abs(grid - want)) <= 1e-11
+
+
+def test_kernel_grid_route_split_is_real():
+    assert _route(0.0, 1.9, _GRID_XS.min() + _GRID_YS.min())[1] == 0.0
+    assert _route(0.0, 1.9, _GRID_XS.max() + _GRID_YS.max())[1] > 0.0
+
+
+def test_kernel_grid_coordinate_domain():
+    with pytest.raises(DomainError):
+        kernel_grid(0.0, 0.0, [0.0, -21.0], [0.0])
 
 
 def test_exponential_diagonal_decay():

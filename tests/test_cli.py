@@ -229,3 +229,14 @@ def test_main_inprocess_exit_codes(tmp_path):
                      "--seeds", "2"]) == 0
     finally:
         os.chdir(old)
+
+
+@pytest.mark.parametrize("args, env", [
+    (["tw2", "--s-grid", "0:0:1"], {"AIRYPNG_THREADS": "abc"}),
+    (["--threads", "-2", "tw2", "--s-grid", "0:0:1"], {}),
+])
+def test_bad_worker_count_is_a_usage_error(tmp_path, args, env):
+    res = run_cli(args, tmp_path, env)
+    assert res.returncode == EXIT_USAGE
+    assert "usage error" in res.stderr
+    assert "Traceback" not in res.stderr

@@ -167,12 +167,14 @@ def test_traced_airy_names_exist():
     assert held <= wrapped, held - wrapped
 
 
-def test_traced_fredholm_names_exist():
-    # every fredholm span the tracer times must name a live attribute, or
-    # a refactor would silently move its time out of fredholm.tw2,
-    # fredholm.conditional and the rest
+@pytest.mark.parametrize("layer", ["fredholm.", "airy_kernel.",
+                                   "png_kernel."])
+def test_traced_names_exist(layer):
+    # every span of these layers that the tracer times must name a live
+    # attribute, or a refactor would silently move its time out of
+    # fredholm.tw2, airy_kernel.kernel, png_kernel.gap and the rest
     entries = [(module, attr) for module, attr, span, *_ in _tracer().WRAPPED
-               if span.startswith("fredholm.")]
+               if span.startswith(layer)]
     assert entries
     missing = [(module, attr) for module, attr in entries
                if not hasattr(importlib.import_module(module), attr)]
