@@ -17,6 +17,25 @@ It takes one of three routes per block, each one scaled matmul:
 ``kernel_grid`` is one such block on one leg per axis, accepted after a
 48/96 node-doubling check of every entry; ``extended_airy_kernel`` and
 ``a_tilde`` are its 1x1 case (so lo = x + y).
+
+Grid cut.  A leg evaluates Ai on its quadrature grids only at arguments up
+to its cut c = max(20, (x_+^(3/2) + 60)^(2/3)), x_+ = max(min node, 0);
+beyond c a grid value is an exact 0 and is never evaluated.  There Ai is
+below Ai(20) = 1.7e-27, and below 5e-18 of the largest |Ai| on the leg (Ai
+falls by about e^-40 from x_+ to c), so the scalar kernel keeps its
+relative accuracy at large coordinates.  The tail an entry loses is at
+most, summed over its two legs:
+
+* 4e-28 on the routes whose weight is at most 1 (s >= t, mirrored);
+* 3.4e-15 on the decomposition route: with a = x+z, b = y+z and
+  lo <= x + y, exp(gap z) <= exp(kappa - gap^3/12) exp(gap (a+b)/2), and
+  exp(kappa - gap^3/12) sup_b |Ai(b)| exp(gap b/2) int_20^inf Ai(a)
+  exp(gap a/2) da <= 1.7e-15 per leg for gap <= 2 and kappa <= 10.5.
+
+A z-grid argument grows with z, so a leg keeps a leading run of
+z-columns, and ``positive_block`` multiplies only over the columns both
+legs keep.  On the u-grid arguments fall with u, and the lowest node of a
+leg keeps every column.
 """
 
 from __future__ import annotations
@@ -28,7 +47,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import DomainError, settled
-from .special import airy_ai_aip_vec, panel_rule
+from .special import PANEL_EDGE, airy_ai_aip_vec, panel_rule
 
 #: Coordinates below this are outside the supported window.
 COORD_MIN = -20.0
@@ -42,6 +61,9 @@ A_TILDE_MAX_GAP = 2.0
 _CANCEL_BUDGET = 10.5
 
 _Z_MAX = 60.0
+
+# Ai(c) / Ai(x_+) <= about exp(-_PEAK_DECAY) at the grid cut (``_cut``).
+_PEAK_DECAY = 40.0
 
 
 @dataclass(frozen=True)
@@ -94,16 +116,47 @@ def _gap_key(gap: float) -> int:
     return max(1, int(math.floor(gap * 16.0)))
 
 
+def _cut(nodes: np.ndarray) -> float:
+    """The largest grid argument a leg on ``nodes`` evaluates (see the
+    module docstring)."""
+    lo = max(float(nodes.min()), 0.0)
+    return max(PANEL_EDGE, (lo ** 1.5 + 1.5 * _PEAK_DECAY) ** (2.0 / 3.0))
+
+
+def _airy_within(nodes: np.ndarray, offsets: np.ndarray,
+                 cut: float) -> np.ndarray:
+    """Ai(x_a + offsets_k), one row per node, 0 wherever the argument
+    exceeds ``cut``, on the leading columns that keep any argument (the
+    lowest node keeps column 0).  One Airy call takes the kept points only.
+    The argument table is dropped before that call, so the peak stays near
+    17 bytes per grid point (mask, kept arguments or values, table), below
+    the 24 of an (Ai, Ai') call on the whole table."""
+    args = nodes[:, None] + offsets
+    keep = args <= cut
+    width = np.flatnonzero(keep.any(axis=0))[-1] + 1
+    keep = keep[:, :width]
+    args = args[:, :width][keep]
+    values = airy_ai_aip_vec(args, derivative=False)
+    del args
+    table = np.zeros(keep.shape)
+    table[keep] = values
+    return table
+
+
 class Leg:
     """Nodes on one time line plus their cached Airy values: (Ai, Ai') at
-    the nodes, Ai on the positive z-grid, and Ai on the negative u-grid of
-    each gap key.  ``weights`` are the Nystrom weights, if any."""
+    the nodes, and Ai alone on the positive z-grid and on the negative
+    u-grid of each gap key.  The grid values stop at the leg's ``cut``: an
+    argument beyond it is an exact 0, never evaluated, and only the leading
+    z-columns that keep an argument are stored.  ``weights`` are the
+    Nystrom weights, if any."""
 
     def __init__(self, t, nodes, weights=None, npp=48):
         self.t = float(t)
         self.nodes = np.atleast_1d(nodes)
         self.weights = weights
         self.npp = npp
+        self.cut = _cut(self.nodes)
         self._ai_aip = None
         self._ai_pos = None
         self._ai_neg = {}
@@ -115,25 +168,17 @@ class Leg:
         return self._ai_aip
 
     def ai_pos(self):
-        """Ai(x_a + z_k) on the positive z-grid.  On a leg of several nodes
-        the same Airy call fills the node values as its z = 0 column; a
-        one-node leg is a scalar kernel value, which never needs them."""
+        """Ai(x_a + z_k) on the leading columns k of the positive z-grid."""
         if self._ai_pos is None:
             z, _ = _positive_grid(self.npp)
-            if len(self.nodes) == 1:
-                self._ai_pos = airy_ai_aip_vec(self.nodes[:, None] + z)[0]
-            else:
-                z0 = np.concatenate(([0.0], z))
-                ai, aip = airy_ai_aip_vec(self.nodes[:, None] + z0)
-                self._ai_aip = ai[:, 0].copy(), aip[:, 0].copy()
-                self._ai_pos = ai[:, 1:]
+            self._ai_pos = _airy_within(self.nodes, z, self.cut)
         return self._ai_pos
 
     def ai_neg(self, gap_key: int):
         """Ai(x_a - u_k) on the negative u-grid of ``gap_key``."""
         if gap_key not in self._ai_neg:
             u, _ = _negative_grid(gap_key, self.npp)
-            self._ai_neg[gap_key] = airy_ai_aip_vec(self.nodes[:, None] - u)[0]
+            self._ai_neg[gap_key] = _airy_within(self.nodes, -u, self.cut)
         return self._ai_neg[gap_key]
 
 
@@ -141,7 +186,9 @@ def positive_block(leg_i: Leg, leg_j: Leg, delta: float) -> np.ndarray:
     """int_0^inf exp(-delta z) Ai(x_a+z) Ai(y_b+z) dz over the two legs;
     a_tilde for delta = -(t-s)."""
     z, w = _positive_grid(leg_i.npp)
-    return (leg_i.ai_pos() * (w * np.exp(-delta * z))) @ leg_j.ai_pos().T
+    ai_i, ai_j = leg_i.ai_pos(), leg_j.ai_pos()
+    k = min(ai_i.shape[1], ai_j.shape[1])  # the columns both legs keep
+    return (ai_i[:, :k] * (w[:k] * np.exp(-delta * z[:k]))) @ ai_j[:, :k].T
 
 
 def mirrored_block(leg_i: Leg, leg_j: Leg, gap: float) -> np.ndarray:

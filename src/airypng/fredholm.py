@@ -95,21 +95,16 @@ def _kernel_block(leg_i: Leg, leg_j: Leg) -> np.ndarray:
     return kernel_block(leg_i, leg_j)
 
 
-def _fill_grids_first(legs):
-    """When the legs span more than one time, every leg needs its z-grid;
-    making that call first lets it supply the node values too."""
-    if len({leg.t for leg in legs}) > 1:
-        for leg in legs:
-            leg.ai_pos()
-
-
 def _operator_from_legs(legs) -> DiscretizedOperator:
+    """The symmetrized Nystrom matrix over ``legs``, one block per leg
+    pair.  A leg evaluates Airy values as its blocks first need them: its
+    nodes (Ai, Ai') for the equal-time blocks, and once per grid its kept
+    grid points (Ai only) for the blocks between times."""
     sizes = [len(leg.nodes) for leg in legs]
     total = sum(sizes)
     D = np.empty((total, total))
     offs = np.concatenate([[0], np.cumsum(sizes)])
     roots = [np.sqrt(leg.weights) for leg in legs]
-    _fill_grids_first(legs)
     for i, leg_i in enumerate(legs):
         for j, leg_j in enumerate(legs):
             block = _kernel_block(leg_i, leg_j)
@@ -207,12 +202,17 @@ def tw2_cdf(s: float, n: int = DEFAULT_NODES, L: float = DEFAULT_CUTOFF,
     return _tw2_cached(float(s), n, float(L), refine)
 
 
+@lru_cache(maxsize=100_000)
+def _tw2_pdf_cached(s: float, n: int, L: float, refine: bool) -> float:
+    return _gap_density(TimeGrid((0.0,), (s,)), n, L, refine)[1]
+
+
 def tw2_pdf(s: float, n: int = DEFAULT_NODES, L: float = DEFAULT_CUTOFF,
             refine: bool = True) -> float:
     """F_2'(s) for s >= -8, exactly: F_2(s) times the resolvent of the Airy
     kernel at the endpoint s (``_gap_density`` on one time), under the same
-    refinement certificate as ``tw2_cdf``."""
-    return _gap_density(TimeGrid((0.0,), (float(s),)), n, L, refine)[1]
+    refinement certificate as ``tw2_cdf``, and memoised like it."""
+    return _tw2_pdf_cached(float(s), n, float(L), refine)
 
 
 @lru_cache(maxsize=None)
@@ -446,7 +446,6 @@ def _rhs_correlation_integral(grid: TimeGrid, boxes,
     k = len(slots)
     legs = [Leg(grid.times[ti], nodes, np.ones_like(nodes))
             for ti, nodes, _w in slots]
-    _fill_grids_first(legs)
     # one k x k correlation matrix per node tuple (a_1, ..., a_k)
     idx = np.indices((nodes_per_dim,) * k).reshape(k, -1)
     mats = np.empty((idx.shape[1], k, k))

@@ -26,7 +26,11 @@ relative error below 5e-16 on [0, 20].  Beyond +-20 the rounding of
 
 Arrays are evaluated in blocks of at most 2**16 points written into the
 preallocated outputs, so a call's temporaries stay at a few MB whatever
-its size.
+its size.  ``derivative=False`` returns Ai alone and skips every Ai'
+operation; Horner's recurrence for Ai does not read Ai', so these values
+are bit-identical to the first output of the default call.  The kernel
+quadrature grids use it on the points within their leg's cut only (see
+``airy_kernel``).
 """
 
 from __future__ import annotations
@@ -90,17 +94,18 @@ def _horner(coeffs, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _asymptotic_positive(x: np.ndarray):
+def _asymptotic_positive(x: np.ndarray, derivative: bool = True):
     alt_u, alt_v, *_ = _asymptotic_coefficients()
     r = np.sqrt(x)
     q = np.sqrt(r)
     xi = x * r * 2.0 / 3.0
     e = np.exp(-xi) / (2.0 * _SQRT_PI)
     inv = 1.0 / xi
-    return e / q * _horner(alt_u, inv), -q * e * _horner(alt_v, inv)
+    ai = e / q * _horner(alt_u, inv)
+    return (ai, -q * e * _horner(alt_v, inv)) if derivative else (ai,)
 
 
-def _asymptotic_negative(x: np.ndarray):
+def _asymptotic_negative(x: np.ndarray, derivative: bool = True):
     _, _, ue, uo, ve, vo = _asymptotic_coefficients()
     r = np.sqrt(-x)
     q = np.sqrt(r)
@@ -110,6 +115,8 @@ def _asymptotic_negative(x: np.ndarray):
     c = np.cos(xi - math.pi / 4.0)
     s = np.sin(xi - math.pi / 4.0)
     ai = (c * _horner(ue, inv2) + s * inv * _horner(uo, inv2)) / (_SQRT_PI * q)
+    if not derivative:
+        return (ai,)
     aip = q / _SQRT_PI * (s * _horner(ve, inv2) - c * inv * _horner(vo, inv2))
     return ai, aip
 
@@ -164,9 +171,9 @@ def _panel_table():
                             _PANEL_DEGREE)), certificate
 
 
-def _panels(x: np.ndarray):
-    """Horner's rule for the panel polynomial and, alongside, its
-    derivative."""
+def _panels(x: np.ndarray, derivative: bool = True):
+    """Horner's rule for the panel polynomial and, alongside unless
+    ``derivative`` is False, its derivative."""
     coefficients, _ = _panel_table()
     j = np.rint(x * (1.0 / PANEL_WIDTH))
     t = x - j * PANEL_WIDTH
@@ -174,39 +181,44 @@ def _panels(x: np.ndarray):
     idx += round(PANEL_EDGE / PANEL_WIDTH)
     coef = np.empty_like(x)
     p = coefficients[-1].take(idx, mode="clip")
-    dp = np.zeros_like(x)
+    dp = np.zeros_like(x) if derivative else None
     for row in coefficients[-2::-1]:
-        dp *= t
-        dp += p
+        if derivative:
+            dp *= t
+            dp += p
         p *= t
         p += row.take(idx, out=coef, mode="clip")
-    return p, dp
+    return (p, dp) if derivative else (p,)
 
 
-def _evaluate_block(x: np.ndarray, ai: np.ndarray, aip: np.ndarray):
+def _evaluate_block(x: np.ndarray, outs):
+    """Fill ``outs``, (Ai,) or (Ai, Ai'), at the points ``x``."""
+    derivative = len(outs) == 2
     pos = x > PANEL_EDGE
     neg = x < -PANEL_EDGE
     if not (pos.any() or neg.any()):
-        ai[...], aip[...] = _panels(x)
+        for out, value in zip(outs, _panels(x, derivative)):
+            out[...] = value
         return
     inner = ~(pos | neg)  # NaN goes to the panels and comes back NaN
     for mask, branch in ((inner, _panels), (pos, _asymptotic_positive),
                          (neg, _asymptotic_negative)):
         if mask.any():
-            ai[mask], aip[mask] = branch(x[mask])
+            for out, value in zip(outs, branch(x[mask], derivative)):
+                out[mask] = value
 
 
-def airy_ai_aip_vec(x: np.ndarray):
+def airy_ai_aip_vec(x: np.ndarray, *, derivative: bool = True):
     """Vectorised (Ai, Ai') without domain checks; the package's one Airy
-    evaluator."""
+    evaluator.  With ``derivative=False`` it returns Ai alone, bit-identical
+    to the first output of the default call."""
     x = np.asarray(x, dtype=float)
-    ai = np.empty(x.shape)
-    aip = np.empty(x.shape)
-    flat_x, flat_ai, flat_aip = x.reshape(-1), ai.reshape(-1), aip.reshape(-1)
+    outs = tuple(np.empty(x.shape) for _ in range(1 + derivative))
+    flat_x, *flat_outs = (a.reshape(-1) for a in (x, *outs))
     for lo in range(0, flat_x.size, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        _evaluate_block(flat_x[block], flat_ai[block], flat_aip[block])
-    return ai, aip
+        _evaluate_block(flat_x[block], [out[block] for out in flat_outs])
+    return outs if derivative else outs[0]
 
 
 def _check_support(x: float) -> float:

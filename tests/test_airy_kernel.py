@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from airypng.airy_kernel import (extended_airy_kernel, a_tilde, heat_phi,
                                  correlation_R, SpaceTimePoint, kernel_grid,
+                                 Leg, mirrored_block, positive_block,
+                                 _gap_key, _negative_grid, _positive_grid,
                                  _route)
-from airypng.special import airy_ai, airy_ai_prime
+from airypng.special import airy_ai, airy_ai_prime, airy_ai_aip_vec
 from airypng.errors import DomainError
 
 from oracles import okounkov_lhs_quadrature
@@ -133,6 +137,103 @@ def test_exponential_diagonal_decay():
         for gap in (0.0, 0.5, 1.0):
             assert extended_airy_kernel(gap, 0.0, x, x) <= math.exp(-x)
             assert extended_airy_kernel(0.0, gap, x, x) <= math.exp(-x)
+
+
+# ---------------------------------------------------------------------------
+# The grid cut.
+# ---------------------------------------------------------------------------
+
+def _uncut(leg):
+    leg.cut = math.inf
+    return leg
+
+
+# (s, t, xs, ys, route, bound on |cut - uncut| from the module docstring):
+# the decomposition at its edge gap = 2, kappa = 10.5 (lo = 2/3 - 10.5),
+# equal times and s > t with coordinates at -20 and near 20, and the
+# mirrored integral with nodes beyond 20
+_CUT_CASES = [
+    (0.0, 2.0, [4.6, 6.0, 10.0, 19.5], [2.0 / 3.0 - 10.5 - 4.6, -8.0, 0.0, 5.0],
+     positive_block, 3.4e-15),
+    (0.0, 0.0, [-20.0, -10.0, 0.0, 12.0, 19.5], [-20.0, 0.0, 19.0],
+     positive_block, 4e-28),
+    (0.5, 0.0, [-20.0, -10.0, 0.0, 12.0, 19.5], [-20.0, 0.0, 19.0],
+     positive_block, 4e-28),
+    (0.0, 3.0, [-20.0, 0.0, 19.5, 25.0], [-20.0, 0.0, 19.0, 22.0],
+     mirrored_block, 4e-28),
+]
+
+
+@pytest.mark.parametrize("s, t, xs, ys, route, bound", _CUT_CASES)
+def test_grid_cut_stays_within_its_bound(s, t, xs, ys, route, bound):
+    xs, ys = np.array(xs), np.array(ys)
+    integral, heat_gap = _route(s, t, xs.min() + ys.min())
+    assert integral.func is route
+    if bound > 1e-20:
+        kappa = heat_gap ** 3 / 12.0 - heat_gap * (xs.min() + ys.min()) / 2.0
+        assert heat_gap == 2.0 and kappa == pytest.approx(10.5)
+    for npp in (48, 96):
+        cut = integral(Leg(s, xs, npp=npp), Leg(t, ys, npp=npp))
+        full = integral(_uncut(Leg(s, xs, npp=npp)),
+                        _uncut(Leg(t, ys, npp=npp)))
+        assert np.max(np.abs(cut - full)) <= bound
+
+
+def test_leg_grid_values_are_exact_or_zero():
+    nodes = np.array([-8.0, -1.0, 5.0, 15.0, 22.0, 30.0])
+    leg = Leg(0.0, nodes)
+    assert leg.cut == 20.0
+    key = _gap_key(3.0)
+    for offsets, got in ((_positive_grid(48)[0], leg.ai_pos()),
+                         (-_negative_grid(key, 48)[0], leg.ai_neg(key))):
+        args = nodes[:, None] + offsets
+        want = np.where(args > leg.cut, 0.0, airy_ai_aip_vec(args)[0])
+        # a leading run of z-columns; the node at -8 keeps every u-column
+        kept = np.flatnonzero((args <= leg.cut).any(axis=0))
+        assert kept[0] == 0 and kept.size == kept[-1] + 1 == got.shape[1]
+        assert np.array_equal(got, want[:, :kept.size])
+        assert np.all(args[:, kept.size:] > leg.cut)
+
+
+@pytest.mark.parametrize("low", [-20.0, 0.0, 9.0, 12.0, 19.0, 30.0])
+def test_cut_is_twenty_or_far_below_the_leg_peak(low):
+    cut = Leg(0.0, [low, low + 5.0]).cut
+    peak = airy_ai(max(low, -1.0188))     # the largest |Ai| on [low, inf)
+    assert 20.0 <= cut <= 40.0
+    assert airy_ai(cut) <= 1e-17 * peak
+    if low <= 9.0:
+        assert cut == 20.0
+
+
+@pytest.mark.parametrize("x", [12.0, 16.0, 19.0])
+def test_scalar_kernel_keeps_relative_accuracy_at_large_coordinates(x):
+    with mp.workdps(60):
+        want = float(mp.airyai(x, derivative=1) ** 2 - x * mp.airyai(x) ** 2)
+    # relative only: the values are far below pytest.approx's absolute floor
+    assert abs(extended_airy_kernel(0.0, 0.0, x, x) / want - 1.0) <= 1e-12
+    # s > t takes the same z-quadrature, damped, so it stays below
+    assert 0.0 < extended_airy_kernel(0.5, 0.0, x, x) < want
+
+
+def test_grid_values_keep_temporaries_bounded():
+    # one leg of a gap-2.5 time pair at n=384, npp=96: about 590k points,
+    # nearly all within the cut
+    from airypng.fredholm import _leg_rule
+    nodes, _ = _leg_rule(0.0, 20.0, 384)
+    leg = Leg(2.5, nodes, npp=96)
+    key = _gap_key(2.5)
+    airy_ai_aip_vec(nodes[:1])  # build the cached panel table first
+    tracemalloc.start()
+    try:
+        table = leg.ai_neg(key)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.size >= 589_824
+    # at most an (Ai, Ai') call on the whole argument table: its arguments,
+    # its two outputs and a few MB for its 2**16-point blocks (measured:
+    # 2.8 table sizes here, against 3.8 for that call)
+    assert peak <= 3 * table.nbytes + 4 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

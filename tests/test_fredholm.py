@@ -249,9 +249,9 @@ def _count_airy_calls(monkeypatch):
     shapes = []
     real = airy_kernel.airy_ai_aip_vec
 
-    def counting(x):
+    def counting(x, **kwargs):
         shapes.append(np.shape(x))
-        return real(x)
+        return real(x, **kwargs)
 
     monkeypatch.setattr(airy_kernel, "airy_ai_aip_vec", counting)
     return shapes
@@ -265,16 +265,31 @@ def test_single_time_operator_evaluates_airy_at_its_nodes_only(monkeypatch):
 
 @pytest.mark.parametrize("times", [(0.0, 0.5), (0.0, 3.0)])
 def test_two_time_operator_makes_one_grid_call_per_leg(monkeypatch, times):
-    # gap 0.5 takes the heat-kernel decomposition (positive grid only);
-    # gap 3 also needs the mirrored integral's negative grid on each leg
-    shapes = _count_airy_calls(monkeypatch)
+    # each leg makes one (Ai, Ai') call on its nodes and one Ai-only call
+    # per grid on the points within its cut, which is 20 for legs whose
+    # nodes start below 9: gap 0.5 takes the heat-kernel decomposition
+    # (positive grid only); gap 3 also needs the mirrored integral's
+    # negative grid on each leg
+    calls = []
+    real = airy_kernel.airy_ai_aip_vec
+
+    def recording(x, derivative=True):
+        calls.append((np.shape(x), derivative))
+        return real(x, derivative=derivative)
+
+    monkeypatch.setattr(airy_kernel, "airy_ai_aip_vec", recording)
     op = build_operator(TimeGrid(times, (-1.0, 0.5)), n=96)
-    n_z = len(_positive_grid(48)[0])
-    expected = [(len(nodes), 1 + n_z) for nodes in op.grid]
+    offsets = [_positive_grid(48)[0]]
     if times[1] - times[0] > 2.0:
-        n_u = len(_negative_grid(_gap_key(3.0), 48)[0])
-        expected += [(len(nodes), n_u) for nodes in op.grid]
-    assert sorted(shapes) == sorted(expected)
+        offsets.append(-_negative_grid(_gap_key(3.0), 48)[0])
+    nodes_calls = [((len(nodes),), True) for nodes in op.grid]
+    grid_calls = [((int(np.sum(nodes[:, None] + g <= 20.0)),), False)
+                  for nodes in op.grid for g in offsets]
+    assert sorted(calls) == sorted(nodes_calls + grid_calls)
+    # an uncut leg evaluates its nodes and every point of its grids
+    full = sum(len(nodes) * (1 + sum(len(g) for g in offsets))
+               for nodes in op.grid)
+    assert sum(shape[0] for shape, _ in calls) < full
 
 
 # ---------------------------------------------------------------------------

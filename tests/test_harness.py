@@ -110,6 +110,25 @@ def test_airy_experiment_rows_and_trend():
         assert row.abs_error == abs(row.estimate - row.gaussian_target)
 
 
+def test_airy_experiment_computes_the_density_once(monkeypatch):
+    # the TW2 density at p1 is one certified single-time density, shared
+    # by every epsilon
+    from airypng import fredholm
+    fredholm._tw2_pdf_cached.cache_clear()
+    times = []
+    real = fredholm._gap_density
+
+    def recording(grid, *args):
+        times.append(grid.times)
+        return real(grid, *args)
+
+    monkeypatch.setattr(fredholm, "_gap_density", recording)
+    run_airy_brownian_experiment(0.0, -1.0, [0.2, 0.1], [1.0], [(-1.0, 1.0)],
+                                 n=96)
+    assert times.count((0.0,)) == 1
+    assert len(times) == 1 + 2 * 2   # two vertices per epsilon
+
+
 def test_airy_experiment_degenerate_window():
     table = run_airy_brownian_experiment(
         0.0, -1.0, [0.1], [1.0], [(0.4, 0.4)], n=96)

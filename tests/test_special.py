@@ -138,6 +138,23 @@ def test_large_call_keeps_temporaries_bounded():
     assert np.array_equal(ai[42], airy_ai_aip_vec(x[42])[0])
 
 
+def test_ai_only_matches_default_path():
+    # every panel centre and edge, +-20 and their neighbours, both
+    # asymptotic branches, and a call longer than one 2**16-point block
+    half = PANEL_WIDTH / 2.0
+    edges = np.array([-20.0, 20.0])
+    xs = np.concatenate([
+        np.arange(-20.0, 20.0 + half, half),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        np.nextafter(edges, -np.inf),
+        np.linspace(-60.0, 40.0, 2 ** 16 + 1001)])
+    ai_only = airy_ai_aip_vec(xs, derivative=False)
+    assert np.array_equal(ai_only, airy_ai_aip_vec(xs)[0])
+    table = xs[:2 ** 16 + 1000].reshape(-1, 8)
+    assert np.array_equal(airy_ai_aip_vec(table, derivative=False),
+                          airy_ai_aip_vec(table)[0])
+
+
 def _tracer():
     """perfbench's tracer module, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
