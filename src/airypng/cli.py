@@ -386,19 +386,23 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--alpha", type=float, default=0.5)
     k.set_defaults(fn=cmd_kernel)
 
+    nodes_help = ("top Nystrom order n: each value comes from the first "
+                  "(m, 2m) pair at m = n/4, n/2, n that agrees within 1e-8")
     t = sub.add_parser("tw2", help="Tracy-Widom GUE table")
     t.add_argument("--s-grid", required=True)
     t.add_argument("--pdf", action="store_true")
     t.add_argument("--plot", help="SVG file name")
-    t.add_argument("--nodes", type=int, default=fredholm.DEFAULT_NODES)
+    t.add_argument("--nodes", type=int, default=fredholm.DEFAULT_NODES,
+                   help=nodes_help)
     t.add_argument("--fast", action="store_true",
-                   help="skip the refinement rerun")
+                   help="return the n-node value without its certificate")
     t.set_defaults(fn=cmd_tw2)
 
     g = sub.add_parser("gap", help="multi-time gap probability")
     g.add_argument("--times", required=True)
     g.add_argument("--thresholds", required=True)
-    g.add_argument("--nodes", type=int, default=fredholm.DEFAULT_NODES)
+    g.add_argument("--nodes", type=int, default=fredholm.DEFAULT_NODES,
+                   help=nodes_help)
     g.add_argument("--cutoff", type=float, default=fredholm.DEFAULT_CUTOFF)
     g.set_defaults(fn=cmd_gap)
 

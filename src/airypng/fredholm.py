@@ -64,15 +64,22 @@ class DiscretizedOperator:
 # Leg construction and block assembly.
 # ---------------------------------------------------------------------------
 
-def _leg_rule(lo: float, hi: float, n: int):
-    """Composite GL rule on (lo, hi]; finer panels near lo where the kernel
+def _panel_edges(lo: float, hi: float) -> np.ndarray:
+    """Panel edges on (lo, hi]; finer panels near lo where the kernel
     carries its mass."""
     edges = [lo]
     while edges[-1] < hi - 1e-12:
         step = 1.5 if edges[-1] < lo + 6.0 else 2.5
         edges.append(min(edges[-1] + step, hi))
+    return np.asarray(edges)
+
+
+def _leg_rule(lo: float, hi: float, n: int):
+    """Composite GL rule on (lo, hi], about n nodes and at least 4 per
+    panel."""
+    edges = _panel_edges(lo, hi)
     per = max(4, int(math.ceil(n / (len(edges) - 1))))
-    return panel_rule(np.asarray(edges), per)
+    return panel_rule(edges, per)
 
 
 def _equal_time_block(leg_i: Leg, leg_j: Leg) -> np.ndarray:
@@ -158,26 +165,47 @@ def _density_value(grid: TimeGrid, n: int, L: float, npp: int):
 
 
 def _certified(value, grid: TimeGrid, n: int, L: float, refine: bool, what):
-    """``value(grid, n, L, npp)``, accepted only if the (2n, L+4) rerun,
+    """``value(grid, m, L, 48)``, accepted only if the (2m, L+4) rerun,
     which also doubles the z-grid nodes per panel (48 to 96) of the blocks
     between times, moves each component by at most 1e-8; the rerun's
     result is returned.  For a single time the kernel is the closed form,
-    so the rerun certifies the n-node Nystrom quadrature and the truncation
-    of (xi, inf) at xi + L.  Without ``refine`` the first result is
+    so the rerun certifies the m-node Nystrom quadrature and the truncation
+    of (xi, inf) at xi + L.
+
+    The pair is tried at m = n/4, n/2 and n, cheapest first (Nystrom
+    quadrature of these analytic kernels converges exponentially in m,
+    Bornemann 2010), and the first that settles is returned.  A lower pair
+    needs 6 nodes per panel (m >= 48 at L = 16): with fewer, the 4-node
+    floor of ``_leg_rule`` leaves both rules of a pair nearly alike, and
+    they can agree while both are far off.  Only the top pair raises
+    ``NumericsError``.  Without ``refine`` the value at (n, L, 48) is
     returned unchecked."""
     if any(xi < THRESHOLD_MIN for xi in grid.thresholds):
         raise DomainError(f"thresholds below {THRESHOLD_MIN} are unsupported")
     if n < 16 or L < 8:
         raise DomainError(f"{what} needs n >= 16 and L >= 8")
-    levels = (value(grid, *level)
-              for level in ((n, L, 48), (2 * n, L + 4.0, 96)))
-    return settled(levels, 1e-8, what) if refine else next(levels)
+    if not refine:
+        return value(grid, n, L, 48)
+
+    def pair(m):
+        return (value(grid, *level)
+                for level in ((m, L, 48), (2 * m, L + 4.0, 96)))
+
+    fewest = 6 * (len(_panel_edges(0.0, L)) - 1)
+    for m in (n // 4, n // 2):
+        if m >= fewest:
+            try:
+                return settled(pair(m), 1e-8, what)
+            except NumericsError:
+                pass
+    return settled(pair(n), 1e-8, what)
 
 
 def gap_probability(grid: TimeGrid, n: int = DEFAULT_NODES,
                     L: float = DEFAULT_CUTOFF, refine: bool = True) -> float:
     """P[A(t_i) <= xi_i for all i] as det(I - D), certified by
-    ``_certified``."""
+    ``_certified``; ``n`` is the top order of its ladder, and the only
+    order used without ``refine``."""
     return _certified(_gap_value, grid, n, L, refine, "gap_probability")
 
 
@@ -217,11 +245,10 @@ def tw2_pdf(s: float, n: int = DEFAULT_NODES, L: float = DEFAULT_CUTOFF,
 
 @lru_cache(maxsize=None)
 def _tw2_moments(n: int = DEFAULT_NODES, L: float = DEFAULT_CUTOFF):
-    """(mean, variance) of TW2 from 128-node Gauss quadrature of the exact
-    density ``tw2_pdf`` over [-7.5, 8]."""
+    """(mean, variance) of TW2 from 128-node Gauss quadrature of the exact,
+    certified density ``tw2_pdf`` over [-7.5, 8]."""
     nodes, weights = panel_rule(np.linspace(-7.5, 8.0, 17), 8)
-    dens = np.array([tw2_pdf(float(s), n=n, L=L, refine=False)
-                     for s in nodes])
+    dens = np.array([tw2_pdf(float(s), n=n, L=L) for s in nodes])
     mass = float(np.dot(weights, dens))
     mean = float(np.dot(weights, nodes * dens)) / mass
     second = float(np.dot(weights, nodes ** 2 * dens)) / mass

@@ -262,15 +262,15 @@ def run_png_brownian_experiment(plan: PngExperimentPlan) -> ExperimentReport:
 @lru_cache(maxsize=1)
 def _tw2_ks_grid():
     grid = np.linspace(-8.0, 8.0, 321)
-    vals = np.array([fredholm.tw2_cdf(float(s), n=128, refine=False)
-                     for s in grid])
+    vals = np.array([fredholm.tw2_cdf(float(s)) for s in grid])
     return grid, vals
 
 
 def _tw2_for_ks():
-    """Tracy-Widom CDF wrapper with interpolation off a fixed fine grid;
-    sample sets hit only ~100 distinct standardized heights, but the grid
-    keeps the callable cheap and deterministic."""
+    """Tracy-Widom CDF wrapper with interpolation off a fixed fine grid of
+    certified ``tw2_cdf`` values; sample sets hit only ~100 distinct
+    standardized heights, but the grid keeps the callable cheap and
+    deterministic."""
     grid, vals = _tw2_ks_grid()
 
     def cdf(s: float) -> float:

@@ -1,0 +1,49 @@
+"""Calibration of the Nystrom certificate against a finer reference.
+
+``gap_probability`` and ``_gap_density`` return the finer value of the
+first (m, 2m) pair of their ladder that agrees within 1e-8.  Each value
+here is compared with the same determinant two levels finer than the top
+pair (n, L) -> (2n, L+4): at (4n, L+8) with 192 z-nodes per panel.
+"""
+
+import pytest
+
+from airypng.fredholm import (TimeGrid, gap_probability, _gap_density,
+                              _density_value, DEFAULT_NODES, DEFAULT_CUTOFF)
+
+GATE = 1e-8
+
+CASES = [
+    ((0.0,), (-8.0,)),
+    ((0.0,), (-7.0,)),
+    ((0.0,), (-6.0,)),
+    ((0.0,), (-2.0,)),
+    ((0.0,), (1.0,)),
+    ((0.0, 0.5), (-1.0, 0.5)),          # heat-kernel decomposition
+    ((0.0, 3.0), (-2.0, 1.0)),          # mirrored integral
+    ((0.0, 1.9), (-6.0, -6.0)),         # both routes in one operator
+    ((0.0, 0.1, 0.2), (-1.0, -1.32, -0.68)),   # settles at n/2 or at n
+    ((0.0, 2.5, 5.0), (-1.0, 0.0, 1.0)),
+]
+
+
+def _assert_calibrated(returned, reference):
+    for got, want in zip(returned, reference):
+        assert abs(got - want) <= GATE
+        if abs(want) < GATE:
+            # below the gate an absolute 1e-8 says nothing; the ladder's
+            # lowest pair must still carry the tail to 1e-7 relative
+            assert abs(got - want) <= 1e-7 * abs(want)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [96, DEFAULT_NODES])
+@pytest.mark.parametrize("times, thresholds", CASES)
+def test_certified_values_match_finer_reference(times, thresholds, n):
+    # n = 96 puts n/4 = 24 below six nodes per panel, where a pair can
+    # agree while both of its values are off
+    grid = TimeGrid(times, thresholds)
+    reference = _density_value(grid, 4 * n, DEFAULT_CUTOFF + 8.0, 192)
+    density = _gap_density(grid, n, DEFAULT_CUTOFF, True)
+    _assert_calibrated(density, reference)
+    _assert_calibrated((gap_probability(grid, n=n),), reference[:1])

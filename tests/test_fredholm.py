@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from airypng import airy_kernel
+from airypng import airy_kernel, fredholm
 from airypng.airy_kernel import (Leg, extended_airy_kernel, kernel_block,
                                  _gap_key, _negative_grid, _positive_grid)
 from airypng.fredholm import (TimeGrid, build_operator, gap_probability,
@@ -11,7 +11,8 @@ from airypng.fredholm import (TimeGrid, build_operator, gap_probability,
                               increment_variance, long_range_covariance,
                               moment_identity_check, _tw2_moments,
                               _gap_density, _kernel_block, _leg_rule,
-                              _operator_from_legs, DEFAULT_CUTOFF)
+                              _operator_from_legs, _certified,
+                              DEFAULT_CUTOFF)
 from airypng.errors import DomainError, NumericsError
 
 from oracles import f2_nystrom_oracle, F2_AT_ZERO
@@ -192,6 +193,62 @@ def test_refinement_failure_raises_with_estimates():
     with pytest.raises(NumericsError) as err:
         gap_probability(TimeGrid((0.0,), (-2.0,)), n=16, L=8.0)
     assert err.value.estimates is not None
+
+
+def _recording(monkeypatch, name):
+    """Replace ``fredholm.<name>`` by a wrapper that records each
+    (n, L, npp) it is called at."""
+    levels = []
+    real = getattr(fredholm, name)
+
+    def recording(grid, n, L, npp):
+        levels.append((n, L, npp))
+        return real(grid, n, L, npp)
+
+    monkeypatch.setattr(fredholm, name, recording)
+    return levels
+
+
+def test_ladder_settles_f2_at_its_lowest_pair(monkeypatch):
+    levels = _recording(monkeypatch, "_gap_value")
+    tw2_cdf(0.3125)
+    assert levels == [(48, 16.0, 48), (96, 20.0, 96)]
+
+
+def test_ladder_climbs_to_the_top_pair_with_the_parent_value(monkeypatch):
+    # a three-time density at short gaps: 48 nodes leave 1e-8 in dP, so
+    # the pair at n/2 = 48 fails and the top pair decides, as before the
+    # ladder; n/4 = 24 has under 6 nodes per panel and is not tried
+    grid = TimeGrid((0.0, 0.1, 0.2), (-1.0, -1.32, -0.68))
+    top = fredholm._density_value(grid, 192, DEFAULT_CUTOFF + 4.0, 96)
+    levels = _recording(monkeypatch, "_density_value")
+    value = _gap_density(grid, 96, DEFAULT_CUTOFF, True)
+    assert value == top
+    # the last digits follow the BLAS thread count; at one thread the
+    # value is (0.6793153398723832, 0.08211026553616897), as before
+    assert value == pytest.approx((0.6793153398723832, 0.08211026553616897),
+                                  rel=0, abs=1e-15)
+    assert levels == [(48, 16.0, 48), (96, 20.0, 96),
+                      (96, 16.0, 48), (192, 20.0, 96)]
+
+
+def test_unsettled_ladder_tries_pairs_at_six_nodes_per_panel():
+    # a value that never settles: every pair the ladder tries is run, and
+    # the error carries the top pair's two values
+    levels = []
+
+    def moving(grid, n, L, npp):
+        levels.append(n)
+        return float(n)
+
+    grid = TimeGrid((0.0,), (0.0,))
+    for n, L, tried in ((192, 16.0, [48, 96, 192]), (96, 16.0, [48, 96]),
+                        (192, 20.0, [96, 192]), (64, 16.0, [64])):
+        levels.clear()
+        with pytest.raises(NumericsError) as err:
+            _certified(moving, grid, n, L, True, "value")
+        assert levels[::2] == tried
+        assert err.value.estimates == (float(n), float(2 * n))
 
 
 def test_operator_entry_structure():
