@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, asdict
 from functools import lru_cache
 
@@ -103,12 +104,14 @@ class ExperimentReport:
 
 
 def ks_distance(samples, cdf) -> float:
-    """Sup-distance between the empirical CDF of ``samples`` and ``cdf``."""
+    """Sup-distance between the empirical CDF of ``samples`` and ``cdf``,
+    which is called once per distinct sample."""
     samples = np.sort(np.asarray(samples, dtype=float))
     n = samples.size
     if n < 100:
         raise DomainError("ks_distance needs at least 100 samples")
-    values = np.array([cdf(float(s)) for s in samples])
+    distinct, inverse = np.unique(samples, return_inverse=True)
+    values = np.array([cdf(float(s)) for s in distinct])[inverse]
     upper = np.max(np.arange(1, n + 1) / n - values)
     lower = np.max(values - np.arange(0, n) / n)
     return float(max(upper, lower))
@@ -163,20 +166,12 @@ def _plan_lattice(plan: PngExperimentPlan) -> dict:
             "positions": [2 * k for k in K]}
 
 
-def _simulate_heights(plan, tag, replicas, positions):
-    """Heights at the recorded positions, replicas processed in fixed-size
-    batches; batching and worker count do not affect per-replica streams."""
-    T = 2 * plan.N - 1
-    chunks = [range(lo, min(lo + _BATCH, replicas))
-              for lo in range(0, replicas, _BATCH)]
-    args = [(plan.q, T, plan.master_seed, tag, list(c), positions)
-            for c in chunks]
-    if plan.workers > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            parts = list(pool.map(_evolve_star, args, chunksize=1))
-    else:
-        parts = [_evolve_star(a) for a in args]
-    return np.concatenate(parts, axis=0)
+def _batches(plan, tag, replicas, positions):
+    """Arguments of the fixed-size batches of one run; per-replica streams
+    do not depend on batching or worker count."""
+    return [(plan.q, 2 * plan.N - 1, plan.master_seed, tag,
+             list(range(lo, min(lo + _BATCH, replicas))), positions)
+            for lo in range(0, replicas, _BATCH)]
 
 
 def _evolve_star(args):
@@ -203,14 +198,22 @@ def run_png_brownian_experiment(plan: PngExperimentPlan) -> ExperimentReport:
     d = d_scaling(q)
     lattice = _plan_lattice(plan)
     positions = lattice["positions"]
-    if plan.j1_override is not None:
-        j1 = int(plan.j1_override)
-    else:
-        pilot = _simulate_heights(plan, _PILOT_TAG, plan.pilot_replicas,
-                                  positions[:1])
-        values, counts = np.unique(pilot[:, 0], return_counts=True)
+    pilot = [] if plan.j1_override is not None else _batches(
+        plan, _PILOT_TAG, plan.pilot_replicas, positions[:1])
+    args = pilot + _batches(plan, _MAIN_TAG, plan.replicas, positions)
+    # pilot and main batches in one pool, in order; KS grid built meanwhile
+    with (ProcessPoolExecutor(max_workers=plan.workers)
+          if plan.workers > 1 else nullcontext()) as pool:
+        parts = (pool.map if pool else map)(_evolve_star, args)
+        cdf = _tw2_for_ks()
+        parts = list(parts)
+    if pilot:
+        values, counts = np.unique(
+            np.concatenate(parts[:len(pilot)])[:, 0], return_counts=True)
         j1 = int(values[np.argmax(counts)])
-    heights = _simulate_heights(plan, _MAIN_TAG, plan.replicas, positions)
+    else:
+        j1 = int(plan.j1_override)
+    heights = np.concatenate(parts[len(pilot):], axis=0)
     cond = heights[:, 0] == j1
     n_cond = int(np.count_nonzero(cond))
     if n_cond < 500:
@@ -241,7 +244,7 @@ def run_png_brownian_experiment(plan: PngExperimentPlan) -> ExperimentReport:
     joint_se = math.sqrt(max(joint_p * (1.0 - joint_p), 1e-12) / n_cond)
     target = gaussian_window_integral(lattice["realized_s"], realized_bounds)
     standardized = (heights[:, 0] - growth_speed(q) * N) / (d * N ** (1.0 / 3.0))
-    ks = ks_distance(standardized, _tw2_for_ks())
+    ks = ks_distance(standardized, cdf)
     psi = (j1 - growth_speed(q) * N) / (d * N ** (1.0 / 3.0))
     return ExperimentReport(
         estimates=estimates,

@@ -68,13 +68,12 @@ def active_sites(s: int) -> np.ndarray:
     return np.arange(-(s - 1), s, 2)
 
 
-def _geometric_floor(u, q: float):
-    """floor(log(U)/log(q)) as floats, with U = 1 - u; every path that turns
-    uniforms into geometric noise goes through here. The steps run in place
-    on one copy of u."""
+def _geometric_floor(v: np.ndarray, q: float) -> np.ndarray:
+    """floor(log(U)/log(q)) with U = 1 - v, computed in place on the
+    float64 array v and returned; every path that turns uniforms into
+    geometric noise goes through here."""
     if not 0.0 < q < 1.0:
         raise DomainError("geometric parameter q must lie in (0, 1)")
-    v = np.array(u, dtype=np.float64)
     np.negative(v, out=v)
     np.log1p(v, out=v)
     v /= math.log(q)
@@ -87,7 +86,13 @@ def geometric_from_uniform(u, q: float):
 
     numpy generators yield [0, 1); 1 - u maps that onto (0, 1].
     """
-    return _geometric_floor(u, q).astype(HEIGHT_DTYPE)
+    return _geometric_floor(np.array(u, dtype=float), q).astype(HEIGHT_DTYPE)
+
+
+def _noise_bound(q: float) -> int:
+    """Bounds the noise for every u <= 1 - 2^-53 that random() can return:
+    log1p(-u) >= -53 log 2, and the + 1 absorbs the rounding."""
+    return math.ceil(53.0 * math.log(2.0) / -math.log(q)) + 1
 
 
 def replica_generator(master_seed: int, tag: int, replica: int) -> np.random.Generator:
@@ -118,21 +123,30 @@ def _grow(noise: np.ndarray, n_steps: int, cone=None):
     heights on [-T, T], one buffer updated in place, before and after each
     step; after step s its window is current. The sites |x| = s are still 0
     at time s, so step s updates |x| <= s-1 at most.
+
+    The buffer is position-major, (2T+1, B), so each step's shifted slices
+    and noise rows (transposed once) are contiguous. A height is a path sum
+    of at most T noise entries, so it takes the narrowest signed type, no
+    narrower than the noise, that holds T max|noise|.
     """
     T = int(n_steps)
     x_min, x_max = (-T, T) if cone is None else cone
-    h = np.zeros((noise.shape[0], 2 * T + 1), dtype=noise.dtype)
-    yield h
+    m = max(int(noise.max(initial=0)), -int(noise.min(initial=0)))
+    h = np.zeros((2 * T + 1, noise.shape[0]), dtype=np.promote_types(
+        noise.dtype, np.min_scalar_type(-T * m - 1)))
+    pair = np.empty_like(h)
+    noise = np.ascontiguousarray(noise.T)
+    yield h.T
     off = 0
     for a, b, a0, n in _cone_windows(T, x_min, x_max):
-        lo = a + T
-        hi = b + T + 1
-        grown = np.maximum(np.maximum(h[:, lo - 1:hi - 1], h[:, lo:hi]),
-                           h[:, lo + 1:hi + 1])
-        grown[:, a0 - a::2] += noise[:, off:off + n]
-        h[:, lo:hi] = grown
+        lo, hi = a + T, b + T + 1
+        # max(h[x-1], h[x], h[x+1]) from pairwise maxima, written in place
+        p = pair[:hi - lo + 1]
+        np.maximum(h[lo - 1:hi], h[lo:hi + 1], out=p)
+        np.maximum(p[:-1], p[1:], out=h[lo:hi])
+        h[lo + a0 - a:hi:2] += noise[off:off + n]
         off += n
-        yield h
+        yield h.T
 
 
 def simulate(config: PngConfig) -> HeightField:
@@ -274,7 +288,9 @@ def evolve_batch_heights(q: float, n_steps: int, master_seed: int, tag: int,
     Every replica draws only the noise of the backward light cone of
     [min(positions), max(positions)] at time n_steps, from its own Philox
     stream in canonical order, so the result is independent of how replicas
-    are grouped into batches.
+    are grouped into batches. The uniforms are inverted in place in one
+    reused row; the noise takes the narrowest signed type that holds
+    _noise_bound(q), int8 at q = 1/4 (bound 28; int16 heights to T = 1170).
     """
     replicas = list(replicas)
     positions = np.asarray(positions, dtype=int)
@@ -286,7 +302,8 @@ def evolve_batch_heights(q: float, n_steps: int, master_seed: int, tag: int,
                           "cone")
     cone = (int(positions.min()), int(positions.max()))
     u = np.empty(sum(n for *_, n in _cone_windows(T, *cone)))
-    noise = np.empty((len(replicas), u.size), dtype=np.int32)
+    noise = np.empty((len(replicas), u.size),
+                     dtype=np.min_scalar_type(-_noise_bound(q) - 1))
     for bi, r in enumerate(replicas):
         replica_generator(master_seed, tag, r).random(out=u)
         noise[bi] = _geometric_floor(u, q)

@@ -1,8 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from airypng import harness
+from airypng.png_sim import evolve_batch_heights
 from airypng.harness import (PngExperimentPlan, run_png_brownian_experiment,
                              run_airy_brownian_experiment, ks_distance,
                              gaussian_window_integral)
@@ -61,6 +64,49 @@ def test_ks_distance_critical_value():
     samples = rng.random(n)
     assert ks_distance(samples, lambda s: min(max(s, 0.0), 1.0)) \
         < 1.63 / math.sqrt(n)
+
+
+def test_ks_distance_calls_cdf_once_per_distinct_sample():
+    samples = np.random.default_rng(7).integers(-40, 40, 5000) / 8.0
+    calls = []
+
+    def cdf(s):
+        calls.append(s)
+        return 0.5 * (1.0 + math.erf(s / 3.0))
+
+    d = ks_distance(samples, cdf)
+    assert sorted(calls) == np.unique(samples).tolist()
+    x = np.sort(samples)
+    n = x.size
+    values = np.array([cdf(float(s)) for s in x])
+    assert d == max(np.max(np.arange(1, n + 1) / n - values),
+                    np.max(values - np.arange(0, n) / n))
+
+
+# sha256 of the first pilot batch (tag 7, first position) and the first
+# main batch (tag 11) of criterion 10's plans; the growth engine must keep
+# every bit of them
+CRITERION_10_BATCHES = {
+    64: ("30214fa33a1346b87e1bd4a12a517a76fa133d6b15a6ba8b2b6c08661e181e1e",
+         "78783527398d7523491f7eff53c8c6f65ef164a8207d8081fc996a0096fcba8b"),
+    128: ("09937afa39d474d2bedc8bd2815b6111006173e5fbefb407aa78f27fbec49095",
+          "e72f2e470fe1257ff1c2403d5824e6696ba439980ec33230cadec0b6c5142a66"),
+    256: ("89c2f8f6f9d642bb0160e9272c855dc099b433448e4cc48b47d82d7178df3b1b",
+          "1060a2406ac636816a9ba3a6414300a206351027ef3c63354716557cee105c7e"),
+}
+
+
+@pytest.mark.parametrize("N", sorted(CRITERION_10_BATCHES))
+def test_criterion_10_first_batches_are_pinned(N):
+    plan = PngExperimentPlan(q=0.25, N=N, gamma=1.0 / 3.0, tau1=0.0,
+                             s_gaps=(1.0,), windows=((-1.0, 1.0),),
+                             replicas=200_000, master_seed=20260810)
+    positions = harness._plan_lattice(plan)["positions"]
+    for tag, where, digest in zip((7, 11), (positions[:1], positions),
+                                  CRITERION_10_BATCHES[N]):
+        h = evolve_batch_heights(0.25, 2 * N - 1, 20260810, tag,
+                                 range(harness._BATCH), where)
+        assert hashlib.sha256(h.tobytes()).hexdigest() == digest
 
 
 def test_png_experiment_report_shape():

@@ -351,3 +351,55 @@ def test_batch_draws_only_the_cone(monkeypatch, T, positions, draws):
                         lambda *key: Counting(generator(*key)))
     evolve_batch_heights(0.25, T, 1, 0, [0, 1], positions)
     assert drawn == [draws, draws]
+
+
+# ---------------------------------------------------------------------------
+# Noise and height types.
+# ---------------------------------------------------------------------------
+
+def test_noise_bound_covers_every_double():
+    # the inversion is nondecreasing in u, and the largest double random()
+    # returns is 1 - 2^-53, so the float path there is the largest noise
+    top = np.array([1.0 - 2.0 ** -53])
+    assert png_sim._geometric_floor(top.copy(), 0.25)[0] == 26
+    assert png_sim._noise_bound(0.25) == 28
+    for q in (1e-3, 0.1, 0.25, 0.5, 0.9, 0.999):
+        assert png_sim._geometric_floor(top.copy(), q)[0] \
+            <= png_sim._noise_bound(q)
+
+
+def _record_types(monkeypatch):
+    """Patch _grow to record (noise dtype, height dtype) of each run."""
+    seen = []
+    grow = png_sim._grow
+
+    def recording(noise, n_steps, cone=None):
+        for h in grow(noise, n_steps, cone):
+            yield h
+        seen.append((noise.dtype, h.dtype))
+
+    monkeypatch.setattr(png_sim, "_grow", recording)
+    return seen
+
+
+def test_quarter_noise_int8_heights_int16(monkeypatch):
+    # 511 steps of noise at most 28 stay below 2^15
+    assert 511 * png_sim._noise_bound(0.25) < 2 ** 15
+    seen = _record_types(monkeypatch)
+    h = evolve_batch_heights(0.25, 511, 1, 0, [0, 1], [0, 20])
+    assert seen == [(np.int8, np.int16)]
+    assert h.dtype == np.int64
+
+
+@pytest.mark.parametrize("T, heights", [(120, np.int16), (300, np.int32)])
+def test_wide_noise_matches_scalar_recursion(monkeypatch, T, heights):
+    # at q = 0.9 the bound 350 overflows int8 and T * 350 overflows int16;
+    # the heights widen once T times the largest drawn value does
+    q = 0.9
+    assert png_sim._noise_bound(q) == 350
+    seen = _record_types(monkeypatch)
+    batch = evolve_batch_heights(q, T, 5, 3, range(3), list(range(-T, T + 1)))
+    assert seen == [(np.int16, heights)]
+    for r in range(3):
+        noise = _step_draws(replica_generator(5, 3, r), q, T)
+        assert batch[r].tolist() == png_heights_oracle(noise)
