@@ -1,13 +1,17 @@
-"""Calibration of the Nystrom certificate against a finer reference.
+"""Calibration of the certificates against a finer reference.
 
 ``gap_probability`` and ``_gap_density`` return the finer value of the
 first (m, 2m) pair of their ladder that agrees within 1e-8.  Each value
 here is compared with the same determinant two levels finer than the top
 pair (n, L) -> (2n, L+4): at (4n, L+8) with 192 z-nodes per panel.
+``kernel_grid`` returns the 96-node block of its 48/96 doubling; it is
+compared with the same route at 192 nodes per panel.
 """
 
+import numpy as np
 import pytest
 
+from airypng.airy_kernel import Leg, _route, heat_phi, kernel_grid
 from airypng.fredholm import (TimeGrid, gap_probability, _gap_density,
                               _density_value, DEFAULT_NODES, DEFAULT_CUTOFF)
 
@@ -47,3 +51,20 @@ def test_certified_values_match_finer_reference(times, thresholds, n):
     density = _gap_density(grid, n, DEFAULT_CUTOFF, True)
     _assert_calibrated(density, reference)
     _assert_calibrated((gap_probability(grid, n=n),), reference[:1])
+
+
+@pytest.mark.parametrize("s, t", [
+    (0.0, 0.0),     # equal times
+    (0.0, 0.5),     # heat-kernel decomposition
+    (0.0, 1.9),     # decomposition near its cancellation budget
+    (0.0, 3.0),     # mirrored integral
+    (1.0, 0.0),     # s > t
+])
+def test_kernel_grid_matches_finer_reference(s, t):
+    xs = ys = np.linspace(-3.0, 3.0, 7)
+    integral, heat_gap = _route(s, t, xs.min() + ys.min())
+    reference = integral(Leg(s, xs, npp=192), Leg(t, ys, npp=192))
+    if heat_gap:
+        reference -= heat_phi(heat_gap, xs[:, None], ys)
+    error = np.abs(kernel_grid(s, t, xs, ys) - reference)
+    assert np.all(error <= 1e-10 * np.maximum(1.0, np.abs(reference)))

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from airypng.fredholm import (TimeGrid, build_operator, gap_probability,
                               DEFAULT_CUTOFF)
 from airypng.errors import DomainError, NumericsError
 
+from conftest import child_env
 from oracles import f2_nystrom_oracle, F2_AT_ZERO
 
 
@@ -450,3 +453,36 @@ def test_moment_identity_overlap_rejected():
     grid = TimeGrid((0.0,), (0.0,))
     with pytest.raises(DomainError):
         moment_identity_check(grid, [(0, (0.0, 0.5), 1), (0, (0.4, 0.9), 1)])
+
+
+@pytest.mark.parametrize("t, legs, pinned", [
+    (0.1, 92, 0.7225588144672849),      # heat-kernel decomposition
+    (3.0, None, 0.08258855820517169),   # mirrored integral
+])
+def test_covariance_once_pinned_and_threshold_major(monkeypatch, t, legs,
+                                                    pinned):
+    # values of the per-node joint operator at 4 nodes per panel; the
+    # Schur complement moves them by round-off only, and each distinct x
+    # threshold (92 of the 260 nodes at t = 0.1) builds one time-t leg
+    built = []
+
+    def counting_leg(time, *args, **kwargs):
+        built.append(time)
+        return Leg(time, *args, **kwargs)
+
+    monkeypatch.setattr(fredholm, "Leg", counting_leg)
+    value = fredholm._covariance_once(t, 96, DEFAULT_CUTOFF, 4)
+    assert abs(value - pinned) <= 1e-13
+    if legs is not None:
+        assert built.count(t) == legs
+
+
+@pytest.mark.slow
+def test_increment_variance_independent_of_blas_threads():
+    code = "from airypng import increment_variance; " \
+           "print(repr(increment_variance(0.1)))"
+    reprs = [subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=child_env(OPENBLAS_NUM_THREADS=k, OMP_NUM_THREADS=k),
+    ).stdout for k in ("1", "2")]
+    assert reprs[0] == reprs[1] != ""
