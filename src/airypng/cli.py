@@ -156,11 +156,9 @@ def cmd_tw2(args, argv) -> int:
     cols = ["s", "F2"]
     rows = []
     for s in grid:
-        row = [float(s), fredholm.tw2_cdf(float(s), n=args.nodes,
-                                          refine=not args.fast)]
+        row = [float(s), fredholm.tw2_cdf(float(s), n=args.nodes)]
         if args.pdf:
-            row.append(fredholm.tw2_pdf(float(s), n=args.nodes,
-                                        refine=not args.fast))
+            row.append(fredholm.tw2_pdf(float(s), n=args.nodes))
         rows.append(tuple(row))
     if args.pdf:
         cols.append("F2_prime")
@@ -190,22 +188,28 @@ def cmd_gap(args, argv) -> int:
     return EXIT_OK
 
 
+def _airy_trend(args, path: Path, inv: str) -> dict:
+    """Run the Airy conditional-window experiment of ``args`` and write
+    its rows to the CSV at ``path``."""
+    table = harness.run_airy_brownian_experiment(
+        args.t1, args.p1, parse_floats(args.epsilons),
+        parse_floats(args.s_gaps),
+        [parse_window(w) for w in args.windows.split(",")])
+    write_csv(path, ["epsilon", "estimate", "gaussian_target", "abs_error"],
+              [(r.epsilon, r.estimate, r.gaussian_target, r.abs_error)
+               for r in table["rows"]], inv, args.master_seed)
+    return table
+
+
 def cmd_conditional(args, argv) -> int:
     out = _outdir(args)
-    windows = [parse_window(w) for w in args.windows.split(",")]
-    s_gaps = parse_floats(args.s_gaps)
-    table = harness.run_airy_brownian_experiment(
-        args.t1, args.p1, parse_floats(args.epsilons), s_gaps, windows)
-    rows = [(r.epsilon, r.estimate, r.gaussian_target, r.abs_error)
-            for r in table["rows"]]
-    write_csv(out / "conditional.csv",
-              ["epsilon", "estimate", "gaussian_target", "abs_error"],
-              rows, _invocation(argv), args.master_seed)
+    table = _airy_trend(args, out / "conditional.csv", _invocation(argv))
+    rows = table["rows"]
     if args.plot:
-        eps = [r[0] for r in rows]
+        eps = [r.epsilon for r in rows]
         svg = line_plot_svg(
-            [("estimate", eps, [r[1] for r in rows]),
-             ("gaussian", eps, [r[2] for r in rows])],
+            [("estimate", eps, [r.estimate for r in rows]),
+             ("gaussian", eps, [r.gaussian_target for r in rows])],
             "Conditional window probability vs Brownian", "epsilon",
             "probability", header_comment=_invocation(argv))
         (out / args.plot).write_text(svg, encoding="utf-8")
@@ -339,15 +343,7 @@ def cmd_verify(args, argv) -> int:
               f"conditioned {report.conditioned_count}")
         return EXIT_OK
     if args.experiment == "airy-brownian":
-        windows = [parse_window(w) for w in args.windows.split(",")]
-        table = harness.run_airy_brownian_experiment(
-            args.t1, args.p1, parse_floats(args.epsilons),
-            parse_floats(args.s_gaps), windows)
-        rows = [(r.epsilon, r.estimate, r.gaussian_target, r.abs_error)
-                for r in table["rows"]]
-        write_csv(out / "airy_trend.csv",
-                  ["epsilon", "estimate", "gaussian_target", "abs_error"],
-                  rows, inv, args.master_seed)
+        table = _airy_trend(args, out / "airy_trend.csv", inv)
         doc = {"rows": [vars(r) for r in table["rows"]],
                "gaussian_target": table["gaussian_target"],
                "trend_ok": table["trend_ok"],
@@ -394,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--plot", help="SVG file name")
     t.add_argument("--nodes", type=int, default=fredholm.DEFAULT_NODES,
                    help=nodes_help)
-    t.add_argument("--fast", action="store_true",
-                   help="return the n-node value without its certificate")
     t.set_defaults(fn=cmd_tw2)
 
     g = sub.add_parser("gap", help="multi-time gap probability")

@@ -168,7 +168,7 @@ def _density_value(grid: TimeGrid, n: int, L: float, npp: int):
     return P, P * float(1.0 - M[k, k] + border)
 
 
-def _certified(value, grid: TimeGrid, n: int, L: float, refine: bool, what):
+def _certified(value, grid: TimeGrid, n: int, L: float, what):
     """``value(grid, m, L, 48)``, accepted only if the (2m, L+4) rerun,
     which also doubles the z-grid nodes per panel (48 to 96) of the blocks
     between times, moves each component by at most 1e-8; the rerun's
@@ -182,14 +182,12 @@ def _certified(value, grid: TimeGrid, n: int, L: float, refine: bool, what):
     needs 6 nodes per panel (m >= 48 at L = 16): with fewer, the 4-node
     floor of ``_leg_rule`` leaves both rules of a pair nearly alike, and
     they can agree while both are far off.  Only the top pair raises
-    ``NumericsError``.  Without ``refine`` the value at (n, L, 48) is
-    returned unchecked."""
+    ``NumericsError``.  Every gap probability, density, F_2 and F_2'
+    value of this module comes from this ladder."""
     if any(xi < THRESHOLD_MIN for xi in grid.thresholds):
         raise DomainError(f"thresholds below {THRESHOLD_MIN} are unsupported")
     if n < 16 or L < 8:
         raise DomainError(f"{what} needs n >= 16 and L >= 8")
-    if not refine:
-        return value(grid, n, L, 48)
 
     def pair(m):
         return (value(grid, *level)
@@ -206,17 +204,16 @@ def _certified(value, grid: TimeGrid, n: int, L: float, refine: bool, what):
 
 
 def gap_probability(grid: TimeGrid, n: int = DEFAULT_NODES,
-                    L: float = DEFAULT_CUTOFF, refine: bool = True) -> float:
+                    L: float = DEFAULT_CUTOFF) -> float:
     """P[A(t_i) <= xi_i for all i] as det(I - D), certified by
-    ``_certified``; ``n`` is the top order of its ladder, and the only
-    order used without ``refine``."""
-    return _certified(_gap_value, grid, n, L, refine, "gap_probability")
+    ``_certified``; ``n`` is the top order of its ladder."""
+    return _certified(_gap_value, grid, n, L, "gap_probability")
 
 
-def _gap_density(grid: TimeGrid, n: int, L: float, refine: bool):
+def _gap_density(grid: TimeGrid, n: int, L: float):
     """(P, dP/dxi_1) of the gap event of ``grid``, both certified; every
     density and conditional probability is built on it."""
-    return _certified(_density_value, grid, n, L, refine, "density")
+    return _certified(_density_value, grid, n, L, "density")
 
 
 # ---------------------------------------------------------------------------
@@ -224,35 +221,35 @@ def _gap_density(grid: TimeGrid, n: int, L: float, refine: bool):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=100_000)
-def _tw2_cached(s: float, n: int, L: float, refine: bool) -> float:
-    return gap_probability(TimeGrid((0.0,), (s,)), n=n, L=L, refine=refine)
+def _tw2_cached(s: float, n: int, L: float) -> float:
+    return gap_probability(TimeGrid((0.0,), (s,)), n=n, L=L)
 
 
-def tw2_cdf(s: float, n: int = DEFAULT_NODES, L: float = DEFAULT_CUTOFF,
-            refine: bool = True) -> float:
+def tw2_cdf(s: float, n: int = DEFAULT_NODES,
+            L: float = DEFAULT_CUTOFF) -> float:
     """F_2(s), the GUE Tracy-Widom distribution function, for s >= -8."""
-    return _tw2_cached(float(s), n, float(L), refine)
+    return _tw2_cached(float(s), n, float(L))
 
 
 @lru_cache(maxsize=100_000)
-def _tw2_pdf_cached(s: float, n: int, L: float, refine: bool) -> float:
-    return _gap_density(TimeGrid((0.0,), (s,)), n, L, refine)[1]
+def _tw2_pdf_cached(s: float, n: int, L: float) -> float:
+    return _gap_density(TimeGrid((0.0,), (s,)), n, L)[1]
 
 
-def tw2_pdf(s: float, n: int = DEFAULT_NODES, L: float = DEFAULT_CUTOFF,
-            refine: bool = True) -> float:
+def tw2_pdf(s: float, n: int = DEFAULT_NODES,
+            L: float = DEFAULT_CUTOFF) -> float:
     """F_2'(s) for s >= -8, exactly: F_2(s) times the resolvent of the Airy
     kernel at the endpoint s (``_gap_density`` on one time), under the same
     refinement certificate as ``tw2_cdf``, and memoised like it."""
-    return _tw2_pdf_cached(float(s), n, float(L), refine)
+    return _tw2_pdf_cached(float(s), n, float(L))
 
 
 @lru_cache(maxsize=None)
-def _tw2_moments(n: int = DEFAULT_NODES, L: float = DEFAULT_CUTOFF):
+def _tw2_moments():
     """(mean, variance) of TW2 from 128-node Gauss quadrature of the exact,
     certified density ``tw2_pdf`` over [-7.5, 8]."""
     nodes, weights = panel_rule(np.linspace(-7.5, 8.0, 17), 8)
-    dens = np.array([tw2_pdf(float(s), n=n, L=L) for s in nodes])
+    dens = np.array([tw2_pdf(float(s)) for s in nodes])
     mass = float(np.dot(weights, dens))
     mean = float(np.dot(weights, nodes * dens)) / mass
     second = float(np.dot(weights, nodes ** 2 * dens)) / mass
@@ -265,8 +262,7 @@ def _tw2_moments(n: int = DEFAULT_NODES, L: float = DEFAULT_CUTOFF):
 
 def conditional_window_probability(t1: float, p1: float, offsets,
                                    epsilon: float, n: int = 160,
-                                   L: float = DEFAULT_CUTOFF,
-                                   refine: bool = True) -> float:
+                                   L: float = DEFAULT_CUTOFF) -> float:
     """P[A(t_i) in [p1 + a_i sqrt(eps), p1 + b_i sqrt(eps)] for all i >= 2
     given A(t_1) = p1], with exact conditioning.
 
@@ -290,7 +286,7 @@ def conditional_window_probability(t1: float, p1: float, offsets,
             raise DomainError("window needs a <= b")
         times.append(times[-1] + s_gap * epsilon)
         windows.append((p1 + a * root, p1 + b * root))
-    density = tw2_pdf(p1, n=n, L=L, refine=refine)
+    density = tw2_pdf(p1, n=n, L=L)
     if density < 1e-8:
         raise NumericsError(
             f"conditioning density {density:.3e} is ill-conditioned")
@@ -300,7 +296,7 @@ def conditional_window_probability(t1: float, p1: float, offsets,
         vertex = [w[mask >> i & 1] for i, w in enumerate(windows)]
         sign = (-1) ** (m - bin(mask).count("1"))
         joint += sign * _gap_density(TimeGrid(tuple(times), (p1, *vertex)),
-                                     n, L, refine)[1]
+                                     n, L)[1]
     return joint / density
 
 

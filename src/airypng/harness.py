@@ -17,7 +17,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, asdict
-from functools import lru_cache
 
 import numpy as np
 
@@ -201,12 +200,10 @@ def run_png_brownian_experiment(plan: PngExperimentPlan) -> ExperimentReport:
     pilot = [] if plan.j1_override is not None else _batches(
         plan, _PILOT_TAG, plan.pilot_replicas, positions[:1])
     args = pilot + _batches(plan, _MAIN_TAG, plan.replicas, positions)
-    # pilot and main batches in one pool, in order; KS grid built meanwhile
+    # pilot and main batches in one pool, in order
     with (ProcessPoolExecutor(max_workers=plan.workers)
           if plan.workers > 1 else nullcontext()) as pool:
-        parts = (pool.map if pool else map)(_evolve_star, args)
-        cdf = _tw2_for_ks()
-        parts = list(parts)
+        parts = list((pool.map if pool else map)(_evolve_star, args))
     if pilot:
         values, counts = np.unique(
             np.concatenate(parts[:len(pilot)])[:, 0], return_counts=True)
@@ -244,7 +241,7 @@ def run_png_brownian_experiment(plan: PngExperimentPlan) -> ExperimentReport:
     joint_se = math.sqrt(max(joint_p * (1.0 - joint_p), 1e-12) / n_cond)
     target = gaussian_window_integral(lattice["realized_s"], realized_bounds)
     standardized = (heights[:, 0] - growth_speed(q) * N) / (d * N ** (1.0 / 3.0))
-    ks = ks_distance(standardized, cdf)
+    ks = ks_distance(standardized, _tw2_clamped)
     psi = (j1 - growth_speed(q) * N) / (d * N ** (1.0 / 3.0))
     return ExperimentReport(
         estimates=estimates,
@@ -262,28 +259,14 @@ def run_png_brownian_experiment(plan: PngExperimentPlan) -> ExperimentReport:
     )
 
 
-@lru_cache(maxsize=1)
-def _tw2_ks_grid():
-    grid = np.linspace(-8.0, 8.0, 321)
-    vals = np.array([fredholm.tw2_cdf(float(s)) for s in grid])
-    return grid, vals
-
-
-def _tw2_for_ks():
-    """Tracy-Widom CDF wrapper with interpolation off a fixed fine grid of
-    certified ``tw2_cdf`` values; sample sets hit only ~100 distinct
-    standardized heights, but the grid keeps the callable cheap and
-    deterministic."""
-    grid, vals = _tw2_ks_grid()
-
-    def cdf(s: float) -> float:
-        if s <= grid[0]:
-            return 0.0
-        if s >= grid[-1]:
-            return 1.0
-        return float(np.interp(s, grid, vals))
-
-    return cdf
+def _tw2_clamped(s: float) -> float:
+    """Certified ``tw2_cdf`` on (-8, 8); 0 at and below its domain's edge
+    -8, and 1 from 8 on, where 1 - F_2 is below 1e-16."""
+    if s <= fredholm.THRESHOLD_MIN:
+        return 0.0
+    if s >= 8.0:
+        return 1.0
+    return fredholm.tw2_cdf(s)
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,7 @@ class LatticePoint:
     x: int
 
 
-def default_params(alpha: float, N: int,
-                   contour_points: int = 512) -> PngKernelParams:
+def default_params(alpha: float, N: int) -> PngKernelParams:
     """Radii 1 * (1 +- 0.8 N^{-1/3}), clamped into (alpha, 1/alpha)."""
     delta = 0.8 * N ** (-1.0 / 3.0)
     lo, hi = alpha, 1.0 / alpha
@@ -70,8 +69,7 @@ def default_params(alpha: float, N: int,
     if not r1 < r2:
         r1 = lo + 0.45 * (hi - lo)
         r2 = lo + 0.55 * (hi - lo)
-    return PngKernelParams(alpha=alpha, N=N, r1=r1, r2=r2,
-                           contour_points=contour_points)
+    return PngKernelParams(alpha=alpha, N=N, r1=r1, r2=r2)
 
 
 def _check_lattice(params: PngKernelParams, p: LatticePoint):
@@ -247,16 +245,13 @@ class AiryLimitRow:
     abs_error: float
 
 
-def airy_limit_report(q: float, N_list, tau: float = 0.0,
-                               tau_prime: float = 0.0, x_prime: float = 0.0,
-                               y_prime: float = 0.0,
-                               contour_points: int = 512):
-    """Tabulate |d N^(1/3) Ktilde_N - conjugated extended Airy kernel|
-    against N at fixed scaled coordinates.
+def airy_limit_report(q: float, N_list):
+    """Tabulate |d N^(1/3) Ktilde_N - extended Airy kernel| against N at
+    equal times and the scaled coordinate 0.
 
-    Lattice indices are rounded to integers and the scaled coordinates
-    recomputed from the rounded values, so the reference is evaluated at
-    the points actually used.
+    The height index is rounded to an integer and the scaled coordinate
+    recomputed from the rounded value, so the reference is evaluated at
+    the point actually used.
     """
     from . import airy_kernel as ak
 
@@ -267,26 +262,12 @@ def airy_limit_report(q: float, N_list, tau: float = 0.0,
     for N in N_list:
         if not 1 <= N <= 512:
             raise DomainError("airy_limit_report N range is [1, 512]")
-        conv = (1.0 + alpha) / (1.0 - alpha) / d
-        u = round(conv * N ** (2.0 / 3.0) * tau)
-        v = round(conv * N ** (2.0 / 3.0) * tau_prime)
-        tau_r = u / (conv * N ** (2.0 / 3.0))
-        tau_p_r = v / (conv * N ** (2.0 / 3.0))
-        x = round(mu * N + (x_prime - tau_r ** 2) * d * N ** (1.0 / 3.0))
-        y = round(mu * N + (y_prime - tau_p_r ** 2) * d * N ** (1.0 / 3.0))
-        xp = (x - mu * N) / (d * N ** (1.0 / 3.0)) + tau_r ** 2
-        yp = (y - mu * N) / (d * N ** (1.0 / 3.0)) + tau_p_r ** 2
-        params = default_params(alpha, N, contour_points)
+        x = round(mu * N)
+        xp = (x - mu * N) / (d * N ** (1.0 / 3.0))
         scaled = d * N ** (1.0 / 3.0) * k_tilde(
-            params, LatticePoint(u, x), LatticePoint(v, y))
-        if tau_r >= tau_p_r:
-            tilde_ref = ak.extended_airy_kernel(tau_r, tau_p_r, xp, yp)
-        else:
-            tilde_ref = ak.a_tilde(tau_r, tau_p_r, xp, yp)
-        conj = math.exp((tau_r ** 3 - tau_p_r ** 3) / 3.0
-                        + yp * tau_p_r - xp * tau_r)
-        ref = conj * tilde_ref
+            default_params(alpha, N), LatticePoint(0, x), LatticePoint(0, x))
+        ref = ak.extended_airy_kernel(0.0, 0.0, xp, xp)
         rows.append(AiryLimitRow(N=int(N), scaled_kernel=scaled,
-                               airy_reference=ref,
-                               abs_error=abs(scaled - ref)))
+                                 airy_reference=ref,
+                                 abs_error=abs(scaled - ref)))
     return rows

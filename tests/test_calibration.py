@@ -48,7 +48,7 @@ def test_certified_values_match_finer_reference(times, thresholds, n):
     # agree while both of its values are off
     grid = TimeGrid(times, thresholds)
     reference = _density_value(grid, 4 * n, DEFAULT_CUTOFF + 8.0, 192)
-    density = _gap_density(grid, n, DEFAULT_CUTOFF, True)
+    density = _gap_density(grid, n, DEFAULT_CUTOFF)
     _assert_calibrated(density, reference)
     _assert_calibrated((gap_probability(grid, n=n),), reference[:1])
 

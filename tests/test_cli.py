@@ -70,8 +70,8 @@ def test_okounkov_check(tmp_path):
 
 
 def test_tw2_monotone_column(tmp_path):
-    res = run_cli(["tw2", "--s-grid", "-3:1:0.5", "--fast",
-                   "--plot", "tw2.svg"], tmp_path)
+    res = run_cli(["tw2", "--s-grid", "-3:1:0.5", "--plot", "tw2.svg"],
+                  tmp_path)
     assert res.returncode == 0
     rows = (tmp_path / "tw2.csv").read_text().splitlines()[4:]
     vals = [float(r.split(",")[1]) for r in rows]
@@ -101,12 +101,16 @@ def test_conditional_trend_table(tmp_path):
 
 
 def test_conditioning_width_flag_is_gone(tmp_path):
-    # conditioning on A(t_1) = p1 is exact; there is no window width to set
-    for command in (["conditional"], ["verify", "airy-brownian"]):
-        res = run_cli([*command, "--p1", "-1.0", "--epsilons", "0.2",
-                       "--delta1", "0.02"], tmp_path)
+    # removed flags are usage errors: conditioning on A(t_1) = p1 is exact,
+    # so there is no window width to set, and every F2 value is certified,
+    # so there is no unchecked fast path
+    width = ["--p1", "-1.0", "--epsilons", "0.2", "--delta1", "0.02"]
+    for args, flag in ((["conditional", *width], "--delta1"),
+                       (["verify", "airy-brownian", *width], "--delta1"),
+                       (["tw2", "--s-grid", "0:0:1", "--fast"], "--fast")):
+        res = run_cli(args, tmp_path)
         assert res.returncode == EXIT_USAGE
-        assert "--delta1" in res.stderr
+        assert flag in res.stderr
 
 
 def test_numeric_failure_exit_code(tmp_path):
@@ -209,13 +213,13 @@ def test_identical_invocation_byte_identical_csv(tmp_path):
     b = tmp_path / "b"
     a.mkdir()
     b.mkdir()
-    run_cli(["tw2", "--s-grid", "-1:1:0.5", "--fast"], a)
-    run_cli(["tw2", "--s-grid", "-1:1:0.5", "--fast"], b)
+    run_cli(["tw2", "--s-grid", "-1:1:0.5"], a)
+    run_cli(["tw2", "--s-grid", "-1:1:0.5"], b)
     assert (a / "tw2.csv").read_bytes() == (b / "tw2.csv").read_bytes()
 
 
 def test_float_format_17_digits(tmp_path):
-    run_cli(["tw2", "--s-grid", "0:0:1", "--fast"], tmp_path)
+    run_cli(["tw2", "--s-grid", "0:0:1"], tmp_path)
     row = (tmp_path / "tw2.csv").read_text().splitlines()[4]
     value = row.split(",")[1]
     assert len(value.replace("-", "").replace(".", "").lstrip("0")) >= 16

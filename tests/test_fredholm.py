@@ -12,8 +12,8 @@ from airypng.fredholm import (TimeGrid, build_operator, gap_probability,
                               tw2_cdf, tw2_pdf, conditional_window_probability,
                               increment_variance, long_range_covariance,
                               moment_identity_check, _tw2_moments,
-                              _gap_density, _kernel_block, _leg_rule,
-                              _operator_from_legs, _certified,
+                              _gap_density, _density_value, _kernel_block,
+                              _leg_rule, _operator_from_legs, _certified,
                               DEFAULT_CUTOFF)
 from airypng.errors import DomainError, NumericsError
 
@@ -51,7 +51,7 @@ def test_upper_tail():
 
 
 def test_cdf_monotone():
-    vals = [tw2_cdf(s, n=96, refine=False) for s in np.linspace(-6, 4, 26)]
+    vals = [tw2_cdf(s, n=96) for s in np.linspace(-6, 4, 26)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -67,18 +67,18 @@ def test_left_tail_range():
 
 def test_pdf_positive_and_normalized():
     for s in (-8.0, -4.0, -2.0, 0.0, 2.0):
-        assert tw2_pdf(s, n=128, refine=False) > 0.0
+        assert tw2_pdf(s, n=128) > 0.0
     nodes, weights = np.polynomial.legendre.leggauss(64)
     lo, hi = -7.5, 8.0
     xs = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     ws = 0.5 * (hi - lo) * weights
-    dens = [tw2_pdf(float(s), n=96, refine=False) for s in xs]
+    dens = [tw2_pdf(float(s), n=96) for s in xs]
     assert np.dot(ws, dens) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_pdf_mode_location():
     grid = np.arange(-3.0, 0.0, 0.05)
-    dens = [tw2_pdf(float(s), n=96, refine=False) for s in grid]
+    dens = [tw2_pdf(float(s), n=96) for s in grid]
     assert grid[int(np.argmax(dens))] == pytest.approx(-1.77, abs=0.15)
 
 
@@ -112,7 +112,7 @@ def _bordered(grid, n):
 def test_density_is_bordered_determinant_difference(times, thresholds):
     # det(I - D+) = det(I - D) (1 - R(xi_1, xi_1)) by the Schur complement
     grid = TimeGrid(times, thresholds)
-    P, dP = _gap_density(grid, n=96, L=DEFAULT_CUTOFF, refine=False)
+    P, dP = _density_value(grid, 96, DEFAULT_CUTOFF, 48)
     Dp = _bordered(grid, 96)
     k = Dp.shape[0] - 1
     eye = np.eye(k + 1)
@@ -132,7 +132,7 @@ def test_threshold_derivative_matches_richardson(times, thresholds):
         return gap_probability(TimeGrid(times, (xi1, *thresholds[1:])))
     want = _richardson(gap, thresholds[0])
     P, dP = _gap_density(TimeGrid(times, thresholds), n=192,
-                         L=DEFAULT_CUTOFF, refine=True)
+                         L=DEFAULT_CUTOFF)
     assert P == gap(thresholds[0])
     # absolute and relative: the mixed-route value is only about 4e-13
     assert abs(dP - want) <= 1e-9 * min(1.0, abs(want))
@@ -154,13 +154,13 @@ def test_threshold_monotonicity_random_pairs():
         hi[which] += bump
         g = TimeGrid((0.0, 0.7), tuple(base))
         g2 = TimeGrid((0.0, 0.7), tuple(hi))
-        assert gap_probability(g2, n=96, refine=False) >= \
-            gap_probability(g, n=96, refine=False) - 1e-10
+        assert gap_probability(g2, n=96) >= \
+            gap_probability(g, n=96) - 1e-10
 
 
 def test_probability_bounds():
     for thr in (-6.0, -2.0, 0.0, 3.0):
-        v = gap_probability(TimeGrid((0.0,), (thr,)), n=96, refine=False)
+        v = gap_probability(TimeGrid((0.0,), (thr,)), n=96)
         assert -1e-9 <= v <= 1.0 + 1e-9
 
 
@@ -171,10 +171,8 @@ def test_marginalization():
 
 
 def test_time_shift_invariance():
-    a = gap_probability(TimeGrid((0.0, 0.5), (0.0, -0.5)), n=96,
-                        refine=False)
-    b = gap_probability(TimeGrid((3.25, 3.75), (0.0, -0.5)), n=96,
-                        refine=False)
+    a = gap_probability(TimeGrid((0.0, 0.5), (0.0, -0.5)), n=96)
+    b = gap_probability(TimeGrid((3.25, 3.75), (0.0, -0.5)), n=96)
     assert abs(a - b) < 1e-10
 
 
@@ -225,7 +223,7 @@ def test_ladder_climbs_to_the_top_pair_with_the_parent_value(monkeypatch):
     grid = TimeGrid((0.0, 0.1, 0.2), (-1.0, -1.32, -0.68))
     top = fredholm._density_value(grid, 192, DEFAULT_CUTOFF + 4.0, 96)
     levels = _recording(monkeypatch, "_density_value")
-    value = _gap_density(grid, 96, DEFAULT_CUTOFF, True)
+    value = _gap_density(grid, 96, DEFAULT_CUTOFF)
     assert value == top
     # the last digits follow the BLAS thread count; at one thread the
     # value is (0.6793153398723832, 0.08211026553616897), as before
@@ -249,7 +247,7 @@ def test_unsettled_ladder_tries_pairs_at_six_nodes_per_panel():
                         (192, 20.0, [96, 192]), (64, 16.0, [64])):
         levels.clear()
         with pytest.raises(NumericsError) as err:
-            _certified(moving, grid, n, L, True, "value")
+            _certified(moving, grid, n, L, "value")
         assert levels[::2] == tried
         assert err.value.estimates == (float(n), float(2 * n))
 
