@@ -12,6 +12,7 @@ significant digits); JSON reports use sorted keys.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,6 +33,7 @@ EXIT_NUMERIC = 3
 EXIT_DATA = 4
 
 
+@functools.cache
 def _version_string() -> str:
     base = f"airypng {__version__}"
     try:

@@ -13,12 +13,16 @@ kernel.  The placement of (x, y) is pinned empirically: the N=1 law is
 exactly geometric and N<=3 gap probabilities match direct simulation.
 
 Numerics: expanding z/(z-w) = sum_k (w/z)^k on r1 < r2 factorizes the
-double trapezoid sum exactly into products of single-circle trapezoid
-sums, i.e. FFTs of the two factors -- same values, O(n log n) instead of
-O(n^2), and every (x, y) pair shares the two FFTs.  Radii are placed at
-the stationary points of the integrand exponent (near |z| = 1 in the
-scaling window), which keeps the circle maxima within a few e-folds of
-the extracted coefficients; fixed radii far from the stationary point
+double trapezoid sum exactly into single-circle sums, i.e. FFTs: Ktilde =
+F H^T, with row x of F the Laurent coefficients of f from z^x on and
+column y of H those of h from w^-y on.  Both are real up to rounding, as
+f(conj z) = conj f(z); one FFT per distinct time and side serves a whole
+multi-time matrix; the point count doubles until the Cauchy-Schwarz bound
+on the product's change, from row norms of F, H and their changes, meets
+the tolerance, and only then is the one real product formed.  Radii are
+placed at the stationary points of the integrand exponent (near |z| = 1
+in the scaling window), which keeps the circle maxima within a few e-folds
+of the extracted coefficients; fixed radii far from the stationary point
 lose tens of digits to cancellation at large N.
 """
 
@@ -79,30 +83,18 @@ def _check_lattice(params: PngKernelParams, p: LatticePoint):
         raise DomainError("height coordinates must be >= 0")
 
 
-def _coefficient_scans(params, u, v, j_hi, m_hi, n):
-    """Trapezoid Laurent coefficients I_F(0..j_hi) and I_H(0..m_hi)."""
-    alpha = params.alpha
-    N = params.N
-    theta = 2.0 * math.pi * np.arange(n) / n
-    z = params.r2 * np.exp(1j * theta)
-    log_f = (N + u) * np.log(1.0 - alpha / z) \
-        - (N - u) * np.log(1.0 - alpha * z)
-    w = params.r1 * np.exp(1j * theta)
-    log_h = (N - v) * np.log(1.0 - alpha * w) \
-        - (N + v) * np.log(1.0 - alpha / w)
-    js = np.arange(j_hi + 1)
-    ms = np.arange(m_hi + 1)
-    if (float(np.max(log_f.real)) > 690.0
-            or float(np.max(log_h.real)) > 690.0
-            or j_hi * abs(math.log(params.r2)) > 690.0
-            or m_hi * abs(math.log(params.r1)) > 690.0):
+def _coefficient_scan(params, t, hi, n, sign):
+    """Trapezoid coefficients 0..hi on n points of z^j in f at time t on
+    |z| = r2 (sign +1), or of w^-j in h = 1/f at time t on |w| = r1 (-1)."""
+    r = params.r2 if sign > 0 else params.r1
+    z = r * np.exp(2j * math.pi * np.arange(n) / n)
+    log_g = sign * ((params.N + t) * np.log(1.0 - params.alpha / z)
+                    - (params.N - t) * np.log(1.0 - params.alpha * z))
+    if float(np.max(log_g.real)) > 690.0 or hi * abs(math.log(r)) > 690.0:
         raise NumericsError("contour radii give an unrepresentable dynamic "
                             "range; move them toward the stationary point")
-    s_f = np.fft.fft(np.exp(log_f)) / n
-    s_h = np.fft.ifft(np.exp(log_h))
-    i_f = s_f[js % n] * params.r2 ** (-js.astype(float))
-    i_h = s_h[ms % n] * params.r1 ** (ms.astype(float))
-    return i_f, i_h
+    js = np.arange(hi + 1)
+    return np.fft.fft(np.exp(log_g))[sign * js % n] / n * r ** (-sign * js)
 
 
 def _doublings(n: int, top: int = 2 * _N_MAX_FFT):
@@ -112,47 +104,83 @@ def _doublings(n: int, top: int = 2 * _N_MAX_FFT):
         n *= 2
 
 
-def _ktilde_matrix_once(params, u, v, xs, ys, n):
-    ratio = params.r1 / params.r2
-    k_terms = min(int(math.ceil(48.0 / -math.log(ratio))), 200_000)
-    j_hi = int(xs.max()) + k_terms
-    m_hi = int(ys.max()) + k_terms
-    i_f, i_h = _coefficient_scans(params, u, v, j_hi, m_hi, n)
-    win_f = np.lib.stride_tricks.sliding_window_view(i_f, k_terms + 1)
-    win_h = np.lib.stride_tricks.sliding_window_view(i_h, k_terms + 1)
-    mat = win_f[xs] @ win_h[ys].T
-    prefactor = (1.0 - params.alpha) ** (2 * (v - u))
-    return prefactor * mat
+def _norm(lines, width):
+    """Largest 2-norm of a length-width window over (run, starts) lines;
+    the appended 0 lets reduceat close a window at the end of its run."""
+    return math.sqrt(max(float(np.add.reduceat(
+        np.append(np.abs(run) ** 2, 0.0), np.stack([st, st + width], 1)
+        .ravel())[::2].max()) for run, st in lines))
+
+
+@dataclass(frozen=True)
+class _Factors:
+    """One contour level of Ktilde = F H^T: a (coefficient run, window
+    starts) pair per row line (``f``) and column line (``h``).  By
+    Cauchy-Schwarz, ``later - earlier`` = max|dF_x| max|H_y| + max|F_x|
+    max|dH_y| bounds the product's largest entrywise change."""
+    f: tuple
+    h: tuple
+    width: int
+
+    def __sub__(self, other):
+        w = self.width
+        df = [(a - b, st) for (a, st), (b, _) in zip(self.f, other.f)]
+        dh = [(a - b, st) for (a, st), (b, _) in zip(self.h, other.h)]
+        return (_norm(df, w) * _norm(other.h, w)
+                + _norm(self.f, w) * _norm(dh, w))
+
+
+def _factors(params, rows, cols, n):
+    """Level n: row x of F holds f's ``width`` coefficients from x, column
+    y of H h's from y, scaled to split each block's (1-alpha)^{2(v-u)}."""
+    width = 1 + min(int(math.ceil(48.0 / -math.log(params.r1 / params.r2))),
+                    200_000)
+
+    def side(lines, sign):
+        scans = {t: _coefficient_scan(params, t, width - 1 + max(
+            int(xs.max()) for s, xs in lines if s == t), n, sign)
+            for t in {t for t, _ in lines}}
+        return tuple(((1.0 - params.alpha) ** (2 * sign * (rows[0][0] - t))
+                      * scans[t][xs.min():xs.max() + width], xs - xs.min())
+                     for t, xs in lines)
+
+    return _Factors(side(rows, 1), side(cols, -1), width)
+
+
+def _ktilde_lines(params, rows, cols, tol):
+    """Ktilde_N between (time, coordinates) row and column lines as one
+    real product F H^T, at the first contour level that settles to tol."""
+    rows, cols = ([(t, np.atleast_1d(np.asarray(xs, dtype=int)))
+                   for t, xs in lines] for lines in (rows, cols))
+    if min(int(xs.min()) for _t, xs in rows + cols) < 0:
+        raise DomainError("height coordinates must be >= 0")
+    level = settled((_factors(params, rows, cols, n)
+                     for n in _doublings(params.contour_points)),
+                    tol, "contour point-doubling")
+    real = _Factors(*(tuple((run.real, st) for run, st in lines)
+                      for lines in (level.f, level.h)), level.width)
+    imag = level - real  # bounds Im K and the dropped Im F Im H^T alike
+    if imag > 1e-10:
+        raise NumericsError(f"contour integral imaginary residual {imag:.3e}")
+    F, H = (np.concatenate([np.lib.stride_tricks.sliding_window_view(
+        run, real.width)[st] for run, st in lines])
+        for lines in (real.f, real.h))
+    return F @ H.T
 
 
 def ktilde_matrix(params: PngKernelParams, u: int, v: int,
                   xs, ys, tol: float = 1e-9) -> np.ndarray:
-    """Ktilde_N(2u, x; 2v, y) over coordinate arrays, trapezoid-converged.
-
-    The point count doubles from params.contour_points until two
-    consecutive evaluations agree to ``tol``; the imaginary residual must
-    stay below 1e-10.
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=int))
-    ys = np.atleast_1d(np.asarray(ys, dtype=int))
-    if xs.min() < 0 or ys.min() < 0:
-        raise DomainError("height coordinates must be >= 0")
-    cur = settled((_ktilde_matrix_once(params, u, v, xs, ys, n)
-                   for n in _doublings(params.contour_points)),
-                  tol, "contour point-doubling")
-    imag = float(np.max(np.abs(cur.imag)))
-    if imag > 1e-10:
-        raise NumericsError(f"contour integral imaginary residual {imag:.3e}")
-    return cur.real
+    """Ktilde_N(2u, x; 2v, y) over coordinate arrays, the contour point
+    count doubled from params.contour_points until it settles to ``tol``
+    (see _Factors); the imaginary residual must stay below 1e-10."""
+    return _ktilde_lines(params, [(u, xs)], [(v, ys)], tol)
 
 
 def k_tilde(params: PngKernelParams, p: LatticePoint,
             q_pt: LatticePoint) -> float:
     _check_lattice(params, p)
     _check_lattice(params, q_pt)
-    mat = ktilde_matrix(params, p.u, q_pt.u,
-                        np.array([p.x]), np.array([q_pt.x]))
-    return float(mat[0, 0])
+    return float(ktilde_matrix(params, p.u, q_pt.u, [p.x], [q_pt.x])[0, 0])
 
 
 def _phi_values_once(params, u, v, deltas, n):
@@ -192,18 +220,13 @@ def k_n(params: PngKernelParams, p: LatticePoint, q_pt: LatticePoint) -> float:
 
 def kn_block_matrix(params: PngKernelParams, lines) -> np.ndarray:
     """K_N over a multi-time point set; ``lines`` is a list of (u, xs)."""
-    sizes = [len(xs) for _u, xs in lines]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    total = offs[-1]
-    out = np.empty((total, total))
+    out = _ktilde_lines(params, lines, lines, 1e-9)
+    offs = np.cumsum([0] + [len(xs) for _u, xs in lines])
     for i, (ui, xi) in enumerate(lines):
         for j, (uj, xj) in enumerate(lines):
-            block = ktilde_matrix(params, ui, uj, np.asarray(xi),
-                                  np.asarray(xj))
             if ui < uj:
-                deltas = np.asarray(xj)[None, :] - np.asarray(xi)[:, None]
-                block = block - phi_values(params, ui, uj, deltas)
-            out[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = block
+                out[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] -= phi_values(
+                    params, ui, uj, np.subtract.outer(xj, xi).T)
     return out
 
 

@@ -221,10 +221,10 @@ def coupling_check_detail(seed: int, N: int, q: float = 0.25):
     T = 2 * N - 1
     ii, jj = np.divmod(np.arange(N * N), N)
     noise = w.ravel()[np.lexsort((ii, ii + jj))]
-    h_cells = np.zeros((N, N), dtype=HEIGHT_DTYPE)
+    snap = np.empty((T + 1, 2 * T + 1), dtype=HEIGHT_DTYPE)
     for s, h in enumerate(_grow(noise[None], T, (0, 0))):
-        i = np.arange(max(1, s - N + 1), min(N, s) + 1)  # j = s + 1 - i
-        h_cells[i - 1, s - i] = h[0, 2 * i - s - 1 + T]
+        snap[s] = h[0]
+    h_cells = snap[ii + jj + 1, ii - jj + T].reshape(N, N)
     g = last_passage_table(w)
     bad = np.argwhere(h_cells != g)
     if bad.size == 0:

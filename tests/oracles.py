@@ -164,3 +164,45 @@ def geometric_pmf(q: float, m) -> np.ndarray:
 def gaussian_window_mass(s: float, a: float, b: float) -> float:
     half = 0.5 / math.sqrt(s)
     return 0.5 * (math.erf(b * half) - math.erf(a * half))
+
+
+def ktilde_block_oracle(params, u: int, v: int, xs, ys, n: int) -> np.ndarray:
+    """Ktilde_N(2u, x; 2v, y) as the complex n-point trapezoid double sum,
+    one block alone: z/(z - w) = sum_k (w/z)^k over k_terms + 1 terms turns
+    it into (1-alpha)^{2(v-u)} sum_k a_{x+k} b_{y+k}, with a_j the
+    coefficient of z^j in f on |z| = r2 and b_m that of w^-m in h on
+    |w| = r1."""
+    alpha, N = params.alpha, params.N
+    k = min(int(math.ceil(48.0 / -math.log(params.r1 / params.r2))), 200_000)
+    theta = 2.0 * math.pi * np.arange(n) / n
+    z = params.r2 * np.exp(1j * theta)
+    w = params.r1 * np.exp(1j * theta)
+    f = np.exp((N + u) * np.log(1 - alpha / z)
+               - (N - u) * np.log(1 - alpha * z))
+    h = np.exp((N - v) * np.log(1 - alpha * w)
+               - (N + v) * np.log(1 - alpha / w))
+    js = np.arange(max(xs) + k + 1)
+    ms = np.arange(max(ys) + k + 1)
+    a = np.fft.fft(f)[js % n] / n * params.r2 ** -js.astype(float)
+    b = np.fft.ifft(h)[ms % n] * params.r1 ** ms.astype(float)
+    A = np.array([a[x:x + k + 1] for x in xs])
+    B = np.array([b[y:y + k + 1] for y in ys])
+    return (1.0 - alpha) ** (2 * (v - u)) * (A @ B.T)
+
+
+def phi_oracle(params, u: int, v: int, deltas, n: int = 4096) -> np.ndarray:
+    """phi_{2u,2v}(y - x) for u < v: the Fourier coefficients of
+    ((1-alpha)^2 / |1 - alpha e^{i theta}|^2)^{v-u} on n points."""
+    theta = 2.0 * math.pi * np.arange(n) / n
+    alpha = params.alpha
+    g = ((1.0 - alpha) ** 2
+         / np.abs(1.0 - alpha * np.exp(1j * theta)) ** 2) ** (v - u)
+    return np.fft.ifft(g)[np.asarray(deltas) % n].real
+
+
+def kn_block_oracle(params, lines, n: int) -> np.ndarray:
+    """K_N = Ktilde_N - phi over (u, xs) lines, block by block, complex."""
+    return np.block([[ktilde_block_oracle(params, u, v, xs, ys, n)
+                      - (phi_oracle(params, u, v, np.subtract.outer(ys, xs).T)
+                         if u < v else 0.0)
+                      for v, ys in lines] for u, xs in lines])

@@ -5,15 +5,25 @@ first (m, 2m) pair of their ladder that agrees within 1e-8.  Each value
 here is compared with the same determinant two levels finer than the top
 pair (n, L) -> (2n, L+4): at (4n, L+8) with 192 z-nodes per panel.
 ``kernel_grid`` returns the 96-node block of its 48/96 doubling; it is
-compared with the same route at 192 nodes per panel.
+compared with the same route at 192 nodes per panel.  ``ktilde_matrix``
+returns the contour level whose factor bound first meets its tolerance;
+the bound is checked against the change of the complex products and the
+value against the block oracle two doublings finer.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from airypng.airy_kernel import Leg, _route, heat_phi, kernel_grid
+from airypng.errors import settled
 from airypng.fredholm import (TimeGrid, gap_probability, _gap_density,
                               _density_value, DEFAULT_NODES, DEFAULT_CUTOFF)
+from airypng.png_kernel import (default_params, ktilde_matrix, _doublings,
+                                _factors, _norm)
+from airypng.png_sim import d_scaling, growth_speed
+
+from oracles import ktilde_block_oracle
 
 GATE = 1e-8
 
@@ -68,3 +78,38 @@ def test_kernel_grid_matches_finer_reference(s, t):
         reference -= heat_phi(heat_gap, xs[:, None], ys)
     error = np.abs(kernel_grid(s, t, xs, ys) - reference)
     assert np.all(error <= 1e-10 * np.maximum(1.0, np.abs(reference)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(x=st.floats(-2.0, 2.0), y=st.floats(-2.0, 2.0),
+       nx=st.integers(1, 6), ny=st.integers(1, 6))
+@pytest.mark.parametrize("u, v", [(0, 0), (0, 2), (2, 0)])
+@pytest.mark.parametrize("N", [3, 64, 1024])
+def test_contour_certificate_matches_finer_reference(N, u, v, x, y, nx, ny):
+    # windows of nx, ny heights starting x, y fluctuation scales from the
+    # edge; every certificate along the doubling must bound the change of
+    # the complex products, up to their rounding
+    tol = 1e-9
+    params = default_params(0.5, N)
+    edge, scale = growth_speed(0.25) * N, d_scaling(0.25) * N ** (1 / 3)
+    xs = max(0, round(edge + x * scale)) + np.arange(nx)
+    ys = max(0, round(edge + y * scale)) + np.arange(ny)
+    rows, cols = [(u, xs)], [(v, ys)]
+    levels = []
+
+    def tracked():
+        for n in _doublings(params.contour_points):
+            levels.append(n)
+            yield _factors(params, rows, cols, n)
+
+    settled(tracked(), tol, "contour point-doubling")
+    for n in levels[:-1]:
+        coarse, fine = (_factors(params, rows, cols, m) for m in (n, 2 * n))
+        change = np.abs(ktilde_block_oracle(params, u, v, xs, ys, 2 * n)
+                        - ktilde_block_oracle(params, u, v, xs, ys, n)).max()
+        rounding = 4e-16 * _norm(fine.f, fine.width) * _norm(fine.h,
+                                                             fine.width)
+        assert change <= (fine - coarse) + rounding
+    reference = ktilde_block_oracle(params, u, v, xs, ys, 4 * levels[-1])
+    error = np.abs(ktilde_matrix(params, u, v, xs, ys, tol) - reference.real)
+    assert error.max() <= tol + 1e-14

@@ -6,12 +6,14 @@ import pytest
 from airypng.png_kernel import (PngKernelParams, LatticePoint, default_params,
                                 k_tilde, ktilde_matrix, phi_discrete,
                                 phi_values, k_n, discrete_gap_probability,
-                                joint_gap_probability,
+                                joint_gap_probability, kn_block_matrix,
                                 airy_limit_report)
 from airypng.png_sim import (d_scaling, growth_speed, evolve_batch_heights,
                              last_passage_batch, geometric_from_uniform,
                              replica_generator)
 from airypng.errors import DomainError
+
+from oracles import kn_block_oracle
 
 
 def test_params_validation():
@@ -150,6 +152,17 @@ def test_kn_time_order_asymmetry_anchors():
     for (u, x, v, y), want in anchors:
         got = k_n(pars, LatticePoint(u, x), LatticePoint(v, y))
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_stacked_product_matches_block_oracle():
+    # two lines at u = 1 share one scan per side with different windows;
+    # the line at u = 3 gives u < v and u > v blocks against both
+    pars = default_params(0.5, 64)
+    lines = [(1, np.arange(120, 130)), (1, np.arange(136, 141)),
+             (3, np.arange(125, 133))]
+    ref = kn_block_oracle(pars, lines, 4096)
+    assert np.abs(ref.imag).max() < 1e-12
+    assert np.abs(kn_block_matrix(pars, lines) - ref.real).max() <= 1e-12
 
 
 def test_gap_monotone_in_threshold():
