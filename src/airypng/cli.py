@@ -385,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(fn=cmd_kernel)
 
     nodes_help = ("top Nystrom order n: each value comes from the first "
-                  "(m, 2m) pair at m = n/4, n/2, n that agrees within 1e-8")
+                  "(m, 2m) pair at m = n/4, n/2, n with at least 6 nodes "
+                  "per panel that agrees within 1e-8 (n >= 48 at the "
+                  "default cutoff)")
     t = sub.add_parser("tw2", help="Tracy-Widom GUE table")
     t.add_argument("--s-grid", required=True)
     t.add_argument("--pdf", action="store_true")

@@ -178,12 +178,14 @@ def _certified(value, grid: TimeGrid, n: int, L: float, what):
 
     The pair is tried at m = n/4, n/2 and n, cheapest first (Nystrom
     quadrature of these analytic kernels converges exponentially in m,
-    Bornemann 2010), and the first that settles is returned.  A lower pair
-    needs 6 nodes per panel (m >= 48 at L = 16): with fewer, the 4-node
-    floor of ``_leg_rule`` leaves both rules of a pair nearly alike, and
-    they can agree while both are far off.  Only the top pair raises
-    ``NumericsError``.  Every gap probability, density, F_2 and F_2'
-    value of this module comes from this ladder."""
+    Bornemann 2010), and the first that settles is returned.  A pair needs
+    6 nodes per panel (m >= 48 at L = 16): with fewer, the 4-node floor of
+    ``_leg_rule`` leaves both rules of a pair nearly alike, and they can
+    agree while both are far off.  A lower pair with fewer is skipped; a
+    top pair with fewer is not accepted but raises ``NumericsError`` with
+    its two values, as does a top pair that disagrees.  Every gap
+    probability, density, F_2 and F_2' value of this module comes from
+    this ladder."""
     if any(xi < THRESHOLD_MIN for xi in grid.thresholds):
         raise DomainError(f"thresholds below {THRESHOLD_MIN} are unsupported")
     if n < 16 or L < 8:
@@ -194,6 +196,10 @@ def _certified(value, grid: TimeGrid, n: int, L: float, what):
                 for level in ((m, L, 48), (2 * m, L + 4.0, 96)))
 
     fewest = 6 * (len(_panel_edges(0.0, L)) - 1)
+    if n < fewest:
+        raise NumericsError(f"{what}: n = {n} has fewer than 6 nodes per "
+                            f"panel (n >= {fewest} at L = {L:g}) and cannot "
+                            "be certified", estimates=tuple(pair(n)))
     for m in (n // 4, n // 2):
         if m >= fewest:
             try:

@@ -23,7 +23,8 @@ the tolerance, and only then is the one real product formed.  Radii are
 placed at the stationary points of the integrand exponent (near |z| = 1
 in the scaling window), which keeps the circle maxima within a few e-folds
 of the extracted coefficients; fixed radii far from the stationary point
-lose tens of digits to cancellation at large N.
+lose tens of digits to cancellation at large N.  Gap determinants take the
+window that the expected number of points beyond it certifies (_window).
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .airy_kernel import extended_airy_kernel
 from .errors import DomainError, NumericsError, settled
 from .png_sim import d_scaling, growth_speed
 
-_N_MAX_FFT = 1 << 17
+_CONTOUR_POINTS = 512  # first level of every contour point-doubling
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,6 @@ class PngKernelParams:
     N: int
     r1: float
     r2: float
-    contour_points: int = 512
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -54,8 +55,6 @@ class PngKernelParams:
             raise DomainError("N must be >= 1")
         if not self.alpha < self.r1 < self.r2 < 1.0 / self.alpha:
             raise DomainError("radii must satisfy alpha < r1 < r2 < 1/alpha")
-        if self.contour_points < 64 or self.contour_points % 2:
-            raise DomainError("contour_points must be even and >= 64")
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,10 @@ def default_params(alpha: float, N: int) -> PngKernelParams:
     return PngKernelParams(alpha=alpha, N=N, r1=r1, r2=r2)
 
 
-def _check_lattice(params: PngKernelParams, p: LatticePoint):
-    if abs(p.u) >= params.N:
+def _check_lattice(params: PngKernelParams, *points: LatticePoint):
+    if any(abs(p.u) >= params.N for p in points):
         raise DomainError("time index |u| must be < N")
-    if p.x < 0:
+    if any(p.x < 0 for p in points):
         raise DomainError("height coordinates must be >= 0")
 
 
@@ -97,7 +96,7 @@ def _coefficient_scan(params, t, hi, n, sign):
     return np.fft.fft(np.exp(log_g))[sign * js % n] / n * r ** (-sign * js)
 
 
-def _doublings(n: int, top: int = 2 * _N_MAX_FFT):
+def _doublings(n: int, top: int = 1 << 18):
     """n, 2n, 4n, ... up to ``top``."""
     while n <= top:
         yield n
@@ -155,7 +154,7 @@ def _ktilde_lines(params, rows, cols, tol):
     if min(int(xs.min()) for _t, xs in rows + cols) < 0:
         raise DomainError("height coordinates must be >= 0")
     level = settled((_factors(params, rows, cols, n)
-                     for n in _doublings(params.contour_points)),
+                     for n in _doublings(_CONTOUR_POINTS)),
                     tol, "contour point-doubling")
     real = _Factors(*(tuple((run.real, st) for run, st in lines)
                       for lines in (level.f, level.h)), level.width)
@@ -170,16 +169,14 @@ def _ktilde_lines(params, rows, cols, tol):
 
 def ktilde_matrix(params: PngKernelParams, u: int, v: int,
                   xs, ys, tol: float = 1e-9) -> np.ndarray:
-    """Ktilde_N(2u, x; 2v, y) over coordinate arrays, the contour point
-    count doubled from params.contour_points until it settles to ``tol``
-    (see _Factors); the imaginary residual must stay below 1e-10."""
+    """Ktilde_N(2u, x; 2v, y) over coordinate arrays, the contour point count
+    doubled from 512 until it settles to ``tol`` (see _Factors)."""
     return _ktilde_lines(params, [(u, xs)], [(v, ys)], tol)
 
 
 def k_tilde(params: PngKernelParams, p: LatticePoint,
             q_pt: LatticePoint) -> float:
-    _check_lattice(params, p)
-    _check_lattice(params, q_pt)
+    _check_lattice(params, p, q_pt)
     return float(ktilde_matrix(params, p.u, q_pt.u, [p.x], [q_pt.x])[0, 0])
 
 
@@ -200,7 +197,7 @@ def phi_values(params: PngKernelParams, u: int, v: int, deltas) -> np.ndarray:
     if u >= v:
         return np.zeros(deltas.shape)
     return settled((_phi_values_once(params, u, v, deltas, n)
-                    for n in _doublings(max(params.contour_points, 256))),
+                    for n in _doublings(_CONTOUR_POINTS)),
                    1e-12, "phi point-doubling")
 
 
@@ -211,11 +208,9 @@ def phi_discrete(params: PngKernelParams, u: int, v: int,
 
 
 def k_n(params: PngKernelParams, p: LatticePoint, q_pt: LatticePoint) -> float:
-    """K_N = Ktilde_N - phi_{2u,2v}."""
-    val = k_tilde(params, p, q_pt)
-    if p.u < q_pt.u:
-        val -= phi_discrete(params, p.u, q_pt.u, p.x, q_pt.x)
-    return val
+    """K_N = Ktilde_N - phi_{2u,2v} (phi is zero unless u < v)."""
+    return (k_tilde(params, p, q_pt)
+            - phi_discrete(params, p.u, q_pt.u, p.x, q_pt.x))
 
 
 def kn_block_matrix(params: PngKernelParams, lines) -> np.ndarray:
@@ -238,26 +233,38 @@ def _gap_det(params: PngKernelParams, events, W: int) -> float:
     return float(sign * math.exp(logdet))
 
 
-def joint_gap_probability(params: PngKernelParams, events) -> float:
-    """P[top line <= threshold at each (u, threshold)]; window fixed at 320.
+def _window(params: PngKernelParams, events) -> int:
+    """The smallest W in 8 ceil(d N^(1/3)) 2^k <= 1280 whose tail bound T(W)
+    is at most 5e-9: the expected number of points on the next W sites of
+    each line, which bounds the probability of "none in the window, some
+    beyond it".  At equal times it is a sum of Ktilde diagonals, here each
+    line's to 1e-8 / (2 W lines), so the truncation is at most 1e-8.  The
+    sum over (W, 2W] stands for (W, inf): this assumes that the one-point
+    density falls faster than geometrically above the edge (q^x at N = 1)."""
+    for W in _doublings(8 * int(math.ceil(d_scaling(params.alpha ** 2)
+                                          * params.N ** (1.0 / 3.0))), 1280):
+        tail = sum(float(np.abs(np.diagonal(ktilde_matrix(
+            params, u, u, *2 * [np.arange(thr + W + 1, thr + 2 * W + 1)],
+            1e-8 / (2 * W * len(events))))).sum()) for u, thr in events)
+        if tail <= 0.5e-8:
+            return W
+    raise NumericsError("gap window: no W <= 1280 has a tail bound <= 5e-9")
 
-    Test-scale helper for multi-time laws; single-time work should go
-    through discrete_gap_probability.
-    """
-    return _gap_det(params, events, 320)
+
+def joint_gap_probability(params: PngKernelParams, events) -> float:
+    """P[top line at time 2u has no particle above threshold, for every
+    (u, threshold) event]: det(I - K_N) on the W sites above each threshold,
+    the window W certified by ``_window``."""
+    if min(thr for _u, thr in events) < -1:
+        raise DomainError("threshold must be >= -1")
+    return _gap_det(params, events, _window(params, events))
 
 
 def discrete_gap_probability(params: PngKernelParams, u: int,
                              threshold: int) -> float:
-    """P[top line at time 2u has no particle above ``threshold``] as the
-    determinant of I - K_N on {threshold+1, ..., threshold+W}, W doubled
-    up to 1280 until the value settles to 1e-8."""
-    if threshold < -1:
-        raise DomainError("threshold must be >= -1")
-    W = 8 * int(math.ceil(d_scaling(params.alpha ** 2)
-                          * params.N ** (1.0 / 3.0)))
-    return settled((_gap_det(params, [(u, threshold)], w)
-                    for w in _doublings(W, 1280)), 1e-8, "gap window doubling")
+    """P[top line at time 2u has no particle above ``threshold``]: the
+    one-event ``joint_gap_probability``."""
+    return joint_gap_probability(params, [(u, threshold)])
 
 
 @dataclass(frozen=True)
@@ -270,17 +277,9 @@ class AiryLimitRow:
 
 def airy_limit_report(q: float, N_list):
     """Tabulate |d N^(1/3) Ktilde_N - extended Airy kernel| against N at
-    equal times and the scaled coordinate 0.
-
-    The height index is rounded to an integer and the scaled coordinate
-    recomputed from the rounded value, so the reference is evaluated at
-    the point actually used.
-    """
-    from . import airy_kernel as ak
-
-    alpha = math.sqrt(q)
-    d = d_scaling(q)
-    mu = growth_speed(q)
+    equal times and the scaled coordinate 0, recomputed from the rounded
+    height index so that the reference is evaluated at the point used."""
+    alpha, d, mu = math.sqrt(q), d_scaling(q), growth_speed(q)
     rows = []
     for N in N_list:
         if not 1 <= N <= 512:
@@ -289,7 +288,7 @@ def airy_limit_report(q: float, N_list):
         xp = (x - mu * N) / (d * N ** (1.0 / 3.0))
         scaled = d * N ** (1.0 / 3.0) * k_tilde(
             default_params(alpha, N), LatticePoint(0, x), LatticePoint(0, x))
-        ref = ak.extended_airy_kernel(0.0, 0.0, xp, xp)
+        ref = extended_airy_kernel(0.0, 0.0, xp, xp)
         rows.append(AiryLimitRow(N=int(N), scaled_kernel=scaled,
                                  airy_reference=ref,
                                  abs_error=abs(scaled - ref)))

@@ -9,6 +9,9 @@ compared with the same route at 192 nodes per panel.  ``ktilde_matrix``
 returns the contour level whose factor bound first meets its tolerance;
 the bound is checked against the change of the complex products and the
 value against the block oracle two doublings finer.
+``joint_gap_probability`` returns the determinant on the first window whose
+tail bound meets 5e-9; it is compared with the determinant on a window four
+times wider.
 """
 
 import numpy as np
@@ -20,7 +23,9 @@ from airypng.errors import settled
 from airypng.fredholm import (TimeGrid, gap_probability, _gap_density,
                               _density_value, DEFAULT_NODES, DEFAULT_CUTOFF)
 from airypng.png_kernel import (default_params, ktilde_matrix, _doublings,
-                                _factors, _norm)
+                                _factors, _norm, _CONTOUR_POINTS, _gap_det,
+                                _window, joint_gap_probability,
+                                discrete_gap_probability)
 from airypng.png_sim import d_scaling, growth_speed
 
 from oracles import ktilde_block_oracle
@@ -98,7 +103,7 @@ def test_contour_certificate_matches_finer_reference(N, u, v, x, y, nx, ny):
     levels = []
 
     def tracked():
-        for n in _doublings(params.contour_points):
+        for n in _doublings(_CONTOUR_POINTS):
             levels.append(n)
             yield _factors(params, rows, cols, n)
 
@@ -113,3 +118,22 @@ def test_contour_certificate_matches_finer_reference(N, u, v, x, y, nx, ny):
     reference = ktilde_block_oracle(params, u, v, xs, ys, 4 * levels[-1])
     error = np.abs(ktilde_matrix(params, u, v, xs, ys, tol) - reference.real)
     assert error.max() <= tol + 1e-14
+
+
+@settings(max_examples=6, deadline=None)
+@given(x=st.floats(-2.0, 2.0), y=st.floats(-2.0, 2.0))
+@pytest.mark.parametrize("N, lines", [(1, 1), (3, 1), (3, 2), (64, 1),
+                                      (64, 2), (1024, 1), (1024, 2)])
+def test_window_certificate_matches_wider_reference(N, lines, x, y):
+    # thresholds x, y fluctuation scales from the edge at times 0 and about
+    # 2 N^(1/3) (N = 1 has a single time); the returned determinant must be
+    # within the 1e-8 gate of the same determinant on four times its window
+    params = default_params(0.5, N)
+    edge, scale = growth_speed(0.25) * N, d_scaling(0.25) * N ** (1 / 3)
+    events = [(u, max(-1, round(edge + z * scale))) for u, z in
+              [(0, x), (min(N - 1, round(2 * N ** (1 / 3))), y)][:lines]]
+    got = joint_gap_probability(params, events)
+    reference = _gap_det(params, events, 4 * _window(params, events))
+    assert abs(got - reference) <= GATE
+    if lines == 1:
+        assert discrete_gap_probability(params, *events[0]) == got

@@ -196,6 +196,16 @@ def test_refinement_failure_raises_with_estimates():
     assert err.value.estimates is not None
 
 
+def test_top_pair_below_six_nodes_per_panel_raises():
+    # at n = 16 and L = 16 the (n, L) and (2n, L+4) rules share their nodes
+    # on (xi, xi + 16], so the pair agrees while both values are off F2(-3)
+    with pytest.raises(NumericsError) as err:
+        gap_probability(TimeGrid((0.0,), (-3.0,)), n=16)
+    coarse, fine = err.value.estimates
+    assert abs(fine - coarse) <= 1e-8
+    assert abs(fine - tw2_cdf(-3.0)) > 1e-6
+
+
 def _recording(monkeypatch, name):
     """Replace ``fredholm.<name>`` by a wrapper that records each
     (n, L, npp) it is called at."""

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from airypng import png_kernel
 from airypng.png_kernel import (PngKernelParams, LatticePoint, default_params,
                                 k_tilde, ktilde_matrix, phi_discrete,
                                 phi_values, k_n, discrete_gap_probability,
                                 joint_gap_probability, kn_block_matrix,
-                                airy_limit_report)
+                                airy_limit_report, _window)
 from airypng.png_sim import (d_scaling, growth_speed, evolve_batch_heights,
                              last_passage_batch, geometric_from_uniform,
                              replica_generator)
-from airypng.errors import DomainError
+from airypng.errors import DomainError, NumericsError
 
 from oracles import kn_block_oracle
 
@@ -23,8 +24,6 @@ def test_params_validation():
         PngKernelParams(alpha=0.5, N=4, r1=0.4, r2=1.1)
     with pytest.raises(DomainError):
         PngKernelParams(alpha=0.5, N=0, r1=0.8, r2=1.2)
-    with pytest.raises(DomainError):
-        PngKernelParams(alpha=0.5, N=4, r1=0.8, r2=1.2, contour_points=63)
 
 
 def test_default_radii_inside_annulus():
@@ -170,6 +169,24 @@ def test_gap_monotone_in_threshold():
     vals = [discrete_gap_probability(pars, 0, M) for M in range(0, 10)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[-1] > 0.99
+
+
+def test_gap_window_doubles_until_the_tail_bound_holds():
+    # at N = 64 the first window has 64 sites; above 95, about 4.5
+    # fluctuation scales below the edge at 128, the next 64 sites still
+    # hold 2.4e-8 expected points, so the window doubles once
+    pars = default_params(0.5, 64)
+    assert _window(pars, [(0, 128)]) == 64
+    assert _window(pars, [(0, 95)]) == 128
+    assert _window(pars, [(0, 128), (2, 95)]) == 128
+
+
+def test_gap_window_raises_when_no_window_certifies(monkeypatch):
+    # a kernel with one expected point on every site fails every tail bound
+    monkeypatch.setattr(png_kernel, "ktilde_matrix",
+                        lambda params, u, v, xs, ys, tol: np.eye(len(xs)))
+    with pytest.raises(NumericsError):
+        joint_gap_probability(default_params(0.5, 3), [(0, 2)])
 
 
 def test_contour_doubling_converges_at_default():
