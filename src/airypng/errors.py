@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 
+from .blas import one_blas_thread
+
 
 class DomainError(ValueError):
     """An argument lies outside the documented supported range."""
@@ -30,18 +32,20 @@ def settled(refinements, tol, what, relative=False):
     """The first of the successive ``refinements`` (numbers, tuples or
     arrays) whose largest |later - earlier| is at most ``tol``; with
     ``relative`` each difference is first divided by max(1, |later|).
-    Levels are drawn lazily, so none after the accepted one is computed.
+    Levels are drawn lazily, so none after the accepted one is computed,
+    and at one BLAS thread (``one_blas_thread``).
     Raises ``NumericsError`` with the last two values as ``estimates``
     when the refinements run out first."""
     earlier, last_two, moved = None, (), math.nan
-    for later in refinements:
-        if earlier is not None:
-            diff = np.abs(np.subtract(later, earlier))
-            if relative:
-                diff = diff / np.maximum(1.0, np.abs(later))
-            moved = float(np.max(diff))
-            if moved <= tol:
-                return later
-        last_two, earlier = (earlier, later), later
+    with one_blas_thread:
+        for later in refinements:
+            if earlier is not None:
+                diff = np.abs(np.subtract(later, earlier))
+                if relative:
+                    diff = diff / np.maximum(1.0, np.abs(later))
+                moved = float(np.max(diff))
+                if moved <= tol:
+                    return later
+            last_two, earlier = (earlier, later), later
     raise NumericsError(f"{what} did not settle to {tol:g}: the last "
                         f"refinement moved {moved:.3e}", estimates=last_two)

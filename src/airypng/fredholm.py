@@ -66,12 +66,13 @@ class DiscretizedOperator:
 
 def _panel_edges(lo: float, hi: float) -> np.ndarray:
     """Panel edges on (lo, hi]; finer panels near lo where the kernel
-    carries its mass."""
-    edges = [lo]
-    while edges[-1] < hi - 1e-12:
-        step = 1.5 if edges[-1] < lo + 6.0 else 2.5
-        edges.append(min(edges[-1] + step, hi))
-    return np.asarray(edges)
+    carries its mass.  Steps of 1.5 up to lo + 6, then 2.5, decided on the
+    offsets from lo, which are exact, so the panel count does not depend
+    on how lo's sums round."""
+    offsets = [0.0]
+    while offsets[-1] < hi - lo - 1e-12:
+        offsets.append(offsets[-1] + (1.5 if offsets[-1] < 6.0 else 2.5))
+    return np.minimum(lo + np.asarray(offsets), hi)
 
 
 def _leg_rule(lo: float, hi: float, n: int):

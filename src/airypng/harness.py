@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, asdict
 
@@ -181,6 +180,14 @@ def _window_integers(j1: int, a: float, b: float, scale: float):
     lo = math.ceil(j1 + a * scale)
     hi = math.floor(j1 + b * scale)
     return lo, hi
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """``concurrent.futures.ProcessPoolExecutor``, imported at first use:
+    its module costs about 20 ms of ``import airypng``, and only the
+    growth experiment's pool needs it."""
+    from concurrent.futures import ProcessPoolExecutor as pool_type
+    return pool_type(max_workers=max_workers)
 
 
 def run_png_brownian_experiment(plan: PngExperimentPlan) -> ExperimentReport:

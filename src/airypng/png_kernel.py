@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airy_kernel import extended_airy_kernel
+from .blas import one_blas_thread
 from .errors import DomainError, NumericsError, settled
 from .png_sim import d_scaling, growth_speed
 
@@ -164,7 +165,8 @@ def _ktilde_lines(params, rows, cols, tol):
     F, H = (np.concatenate([np.lib.stride_tricks.sliding_window_view(
         run, real.width)[st] for run, st in lines])
         for lines in (real.f, real.h))
-    return F @ H.T
+    with one_blas_thread:
+        return F @ H.T
 
 
 def ktilde_matrix(params: PngKernelParams, u: int, v: int,
@@ -226,10 +228,12 @@ def kn_block_matrix(params: PngKernelParams, lines) -> np.ndarray:
 
 
 def _gap_det(params: PngKernelParams, events, W: int) -> float:
-    """det(I - K_N) on the W sites above each (u, threshold) event."""
+    """det(I - K_N) on the W sites above each (u, threshold) event, at one
+    BLAS thread."""
     lines = [(u, np.arange(thr + 1, thr + 1 + W)) for u, thr in events]
-    K = kn_block_matrix(params, lines)
-    sign, logdet = np.linalg.slogdet(np.eye(K.shape[0]) - K)
+    with one_blas_thread:
+        K = kn_block_matrix(params, lines)
+        sign, logdet = np.linalg.slogdet(np.eye(K.shape[0]) - K)
     return float(sign * math.exp(logdet))
 
 

@@ -15,6 +15,7 @@ from airypng.fredholm import (TimeGrid, build_operator, gap_probability,
                               _gap_density, _density_value, _kernel_block,
                               _leg_rule, _operator_from_legs, _certified,
                               DEFAULT_CUTOFF)
+from airypng.blas import one_blas_thread
 from airypng.errors import DomainError, NumericsError
 
 from conftest import child_env
@@ -231,14 +232,11 @@ def test_ladder_climbs_to_the_top_pair_with_the_parent_value(monkeypatch):
     # the pair at n/2 = 48 fails and the top pair decides, as before the
     # ladder; n/4 = 24 has under 6 nodes per panel and is not tried
     grid = TimeGrid((0.0, 0.1, 0.2), (-1.0, -1.32, -0.68))
-    top = fredholm._density_value(grid, 192, DEFAULT_CUTOFF + 4.0, 96)
+    with one_blas_thread:
+        top = fredholm._density_value(grid, 192, DEFAULT_CUTOFF + 4.0, 96)
     levels = _recording(monkeypatch, "_density_value")
     value = _gap_density(grid, 96, DEFAULT_CUTOFF)
-    assert value == top
-    # the last digits follow the BLAS thread count; at one thread the
-    # value is (0.6793153398723832, 0.08211026553616897), as before
-    assert value == pytest.approx((0.6793153398723832, 0.08211026553616897),
-                                  rel=0, abs=1e-15)
+    assert value == top == (0.6793153398723832, 0.08211026553616897)
     assert levels == [(48, 16.0, 48), (96, 20.0, 96),
                       (96, 16.0, 48), (192, 20.0, 96)]
 
@@ -295,6 +293,18 @@ def test_operator_spectral_radius():
     for thr in (-6.0, -3.0, 0.0):
         op = build_operator(TimeGrid((0.0,), (thr,)), n=96, L=10.0)
         assert np.max(np.abs(np.linalg.eigvals(op.block_matrix))) < 1.0
+
+
+def test_leg_rule_has_eight_panels_wherever_the_leg_starts():
+    # lo + 1.5 + 1.5 + 1.5 + 1.5 can round 1 ulp below lo + 6 (as at this
+    # time-0 covariance leg of t = 0.1, and at 2.6% of a dense grid on
+    # [-1, 1]), which once took a fifth 1.5-step: 9 panels and 99 nodes
+    for lo in [-0.7869810560335088, *np.linspace(-8.0, 8.0, 801),
+               *np.linspace(-1.0, 1.0, 2001)]:
+        assert len(fredholm._panel_edges(lo, lo + DEFAULT_CUTOFF)) == 9, lo
+        for n in (48, 96, 192):
+            nodes, weights = _leg_rule(lo, lo + DEFAULT_CUTOFF, n)
+            assert len(nodes) == len(weights) == n, (lo, n)
 
 
 @pytest.mark.parametrize("threshold", [-6.0, -2.0, 0.0, 3.0])
@@ -486,9 +496,19 @@ def test_covariance_once_pinned_and_threshold_major(monkeypatch, t, legs,
 
 
 @pytest.mark.slow
-def test_increment_variance_independent_of_blas_threads():
-    code = "from airypng import increment_variance; " \
-           "print(repr(increment_variance(0.1)))"
+@pytest.mark.parametrize("code", [
+    "from airypng import increment_variance as v; print(repr(v(0.1)))",
+    # a top pair of order 288 and 576, whose LUs once followed the count
+    "from airypng.fredholm import TimeGrid, _gap_density as g; print(repr("
+    "g(TimeGrid((0.0, 0.1, 0.2), (-1.0, -1.32, -0.68)), 96, 16.0)))",
+    "from airypng import conditional_window_probability as c; print(repr("
+    "c(0.0, -1.0, [(1.0, -1.0, 1.0), (1.0, -1.0, 1.0)], 0.1)))",
+    "from airypng.png_kernel import default_params as p, "
+    "joint_gap_probability as j; "
+    "print(repr(j(p(0.5, 1024), [(0, 2048), (5, 2050)])))",
+], ids=["increment_variance", "three_time_density", "conditional_window",
+        "finite_n_joint"])
+def test_values_independent_of_blas_threads(code):
     reprs = [subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True, env=child_env(OPENBLAS_NUM_THREADS=k, OMP_NUM_THREADS=k),
