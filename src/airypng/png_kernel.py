@@ -19,7 +19,11 @@ column y of H those of h from w^-y on.  Both are real up to rounding, as
 f(conj z) = conj f(z); one FFT per distinct time and side serves a whole
 multi-time matrix; the point count doubles until the Cauchy-Schwarz bound
 on the product's change, from row norms of F, H and their changes, meets
-the tolerance, and only then is the one real product formed.  Radii are
+the tolerance, and only then is the one real product formed.  Each FFT is
+memoised per process (_contour_fft, keyed by params, time, points and
+side; phi's by alpha, v - u and points, _phi_coefficients), read-only and
+at most 32 entries per memo, so a gap determinant, its window's tail bound
+and every threshold of a box sum on one lattice share them.  Radii are
 placed at the stationary points of the integrand exponent (near |z| = 1
 in the scaling window), which keeps the circle maxima within a few e-folds
 of the extracted coefficients; fixed radii far from the stationary point
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,18 +88,39 @@ def _check_lattice(params: PngKernelParams, *points: LatticePoint):
         raise DomainError("height coordinates must be >= 0")
 
 
-def _coefficient_scan(params, t, hi, n, sign):
-    """Trapezoid coefficients 0..hi on n points of z^j in f at time t on
-    |z| = r2 (sign +1), or of w^-j in h = 1/f at time t on |w| = r1 (-1)."""
+_RANGE = ("contour radii give an unrepresentable dynamic range; move them "
+          "toward the stationary point")
+
+
+@lru_cache(maxsize=32)
+def _contour_fft(params, t, n, sign):
+    """FFT of f at time t on n points of |z| = r2 (sign +1), or of h = 1/f
+    on |w| = r1 (-1), read-only; raises where max Re log of it exceeds 690
+    (an exception is not memoised, so the guard reruns on every call).
+    This memo and _phi_coefficients' hold 32 entries of 16 n bytes each:
+    16-32 KB at the 1024-2048 points a doubling accepts, 1 MB a memo; the
+    worst case, every entry at the 2^18-point top of the doubling, is
+    128 MB a memo."""
     r = params.r2 if sign > 0 else params.r1
     z = r * np.exp(2j * math.pi * np.arange(n) / n)
     log_g = sign * ((params.N + t) * np.log(1.0 - params.alpha / z)
                     - (params.N - t) * np.log(1.0 - params.alpha * z))
-    if float(np.max(log_g.real)) > 690.0 or hi * abs(math.log(r)) > 690.0:
-        raise NumericsError("contour radii give an unrepresentable dynamic "
-                            "range; move them toward the stationary point")
+    if float(np.max(log_g.real)) > 690.0:
+        raise NumericsError(_RANGE)
+    out = np.fft.fft(np.exp(log_g))
+    out.flags.writeable = False
+    return out
+
+
+def _coefficient_scan(params, t, hi, n, sign):
+    """Trapezoid coefficients 0..hi on n points of z^j in f at time t on
+    |z| = r2 (sign +1), or of w^-j in h = 1/f at time t on |w| = r1 (-1)."""
+    r = params.r2 if sign > 0 else params.r1
+    if hi * abs(math.log(r)) > 690.0:
+        raise NumericsError(_RANGE)
     js = np.arange(hi + 1)
-    return np.fft.fft(np.exp(log_g))[sign * js % n] / n * r ** (-sign * js)
+    return (_contour_fft(params, t, n, sign)[sign * js % n] / n
+            * r ** (-sign * js))
 
 
 def _doublings(n: int, top: int = 1 << 18):
@@ -182,14 +208,21 @@ def k_tilde(params: PngKernelParams, p: LatticePoint,
     return float(ktilde_matrix(params, p.u, q_pt.u, [p.x], [q_pt.x])[0, 0])
 
 
-def _phi_values_once(params, u, v, deltas, n):
-    alpha = params.alpha
+@lru_cache(maxsize=32)
+def _phi_coefficients(alpha, k, n):
+    """Fourier coefficients of phi over k = v - u time steps on n points,
+    read-only."""
     theta = 2.0 * math.pi * np.arange(n) / n
-    log_sym = (v - u) * (2.0 * math.log(1.0 - alpha)
-                         - np.log(1.0 + alpha * alpha
-                                  - 2.0 * alpha * np.cos(theta)))
-    co = np.fft.ifft(np.exp(log_sym))
-    return co[np.asarray(deltas) % n].real
+    log_sym = k * (2.0 * math.log(1.0 - alpha)
+                   - np.log(1.0 + alpha * alpha - 2.0 * alpha * np.cos(theta)))
+    out = np.fft.ifft(np.exp(log_sym))
+    out.flags.writeable = False
+    return out
+
+
+def _phi_values_once(params, u, v, deltas, n):
+    return _phi_coefficients(params.alpha, v - u, n)[
+        np.asarray(deltas) % n].real
 
 
 def phi_values(params: PngKernelParams, u: int, v: int, deltas) -> np.ndarray:
@@ -258,7 +291,13 @@ def _window(params: PngKernelParams, events) -> int:
 def joint_gap_probability(params: PngKernelParams, events) -> float:
     """P[top line at time 2u has no particle above threshold, for every
     (u, threshold) event]: det(I - K_N) on the W sites above each threshold,
-    the window W certified by ``_window``."""
+    the window W certified by ``_window``.
+
+    Supported thresholds lie within about 6 fluctuation scales d N^(1/3)
+    of the edge mu N, where the value is above about 1e-8, the determinant's
+    certified accuracy.  From about 8 scales below it (N >= 256) the
+    contour's imaginary residual exceeds its 1e-10 guard and the call
+    raises ``NumericsError`` instead of returning a number."""
     if min(thr for _u, thr in events) < -1:
         raise DomainError("threshold must be >= -1")
     return _gap_det(params, events, _window(params, events))

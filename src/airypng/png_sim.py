@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -163,18 +164,34 @@ def simulate(config: PngConfig) -> HeightField:
 # Last-passage percolation.
 # ---------------------------------------------------------------------------
 
-def _lpp_rows(w):
-    """Rows of the last-passage table of w (..., M, N), vectorized over the
-    leading axes. Unrolling g(i,j) = w(i,j) + max(g(i-1,j), g(i,j-1)) along
-    a row gives g_i = S_i + cummax(g_{i-1} - S_i + w_i), S_i = cumsum(w_i);
-    the first row is S_0, since no path enters it from above."""
-    w = np.asarray(w, dtype=HEIGHT_DTYPE)
-    g = np.cumsum(w[..., 0, :], axis=-1)
-    yield g
-    for i in range(1, w.shape[-2]):
-        S = np.cumsum(w[..., i, :], axis=-1)
-        g = S + np.maximum.accumulate(g - S + w[..., i, :], axis=-1)
-        yield g
+_LPP_BLOCK = 1 << 16  # elements of w per cumulative-sum call
+
+
+def _lpp_rows(w, out):
+    """Write row i of the last-passage table of w (..., M, N), vectorized
+    over the leading axes, into out[..., i % R, :]: out holds all R = M
+    rows (the table) or a ring of R = 2 (the batch). Unrolling
+    g(i,j) = w(i,j) + max(g(i-1,j), g(i,j-1)) along a row gives
+    g_i = S_i + cummax(g_{i-1} + w_i - S_i), S_i = cumsum(w_i); the first
+    row is S_0, since no path enters it from above. S, written straight
+    into out, and w - S take one call each per block of rows holding
+    _LPP_BLOCK elements (one row in a ring); each row then takes three
+    in-place calls."""
+    M, R = w.shape[-2], out.shape[-2]
+    step = max(1, _LPP_BLOCK * M // max(w.size, 1)) if R == M else 1
+    d = np.empty(w.shape[:-2] + (min(step, M - 1), w.shape[-1]), w.dtype)
+    for i0 in range(0, M, step):
+        i1 = min(i0 + step, M)
+        np.cumsum(w[..., i0:i1, :], axis=-1,
+                  out=out[..., i0 % R:i0 % R + i1 - i0, :])
+        a = max(i0, 1)
+        np.subtract(w[..., a:i1, :], out[..., a % R:a % R + i1 - a, :],
+                    out=d[..., :i1 - a, :])
+        for k, i in enumerate(range(a, i1)):
+            row = d[..., k, :]
+            row += out[..., (i - 1) % R, :]
+            np.maximum.accumulate(row, axis=-1, out=row)
+            out[..., i % R, :] += row
 
 
 def last_passage_G(M: int, N: int, w: np.ndarray) -> int:
@@ -190,20 +207,42 @@ def last_passage_G(M: int, N: int, w: np.ndarray) -> int:
 def last_passage_table(w: np.ndarray) -> np.ndarray:
     """Full table g(i,j) = w(i,j) + max(g(i-1,j), g(i,j-1)), where a
     missing neighbour means no path."""
-    return np.stack(list(_lpp_rows(w)), axis=-2)
+    w = np.asarray(w, dtype=HEIGHT_DTYPE)
+    out = np.empty(w.shape, dtype=HEIGHT_DTYPE)
+    _lpp_rows(w, out)
+    return out
 
 
 def last_passage_batch(w: np.ndarray) -> np.ndarray:
     """G(M, N) for a batch of weight fields, shape (B, M, N) -> (B,),
-    keeping one table row per field at a time."""
-    for g in _lpp_rows(w):
-        pass
-    return g[..., -1].copy()
+    keeping two table rows per field at a time."""
+    w = np.asarray(w, dtype=HEIGHT_DTYPE)
+    M = w.shape[-2]
+    # ring-major, so that each ring row is one contiguous run
+    out = np.moveaxis(np.empty((min(M, 2),) + w.shape[:-2] + w.shape[-1:],
+                               dtype=HEIGHT_DTYPE), 0, -2)
+    _lpp_rows(w, out)
+    return out[..., (M - 1) % out.shape[-2], -1].copy()
 
 
 # ---------------------------------------------------------------------------
 # The exact coupling.
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=8)
+def _coupling_layout(N: int):
+    """For the N x N box, read-only: the order that reads w along
+    anti-diagonals, i ascending, and the flat index of cell (i, j)'s
+    height h(i-j, i+j-1) in the (T+1, 2T+1) snapshots, T = 2N - 1;
+    16 N^2 bytes, so at most 5 MB for the 8 entries at N <= 200."""
+    T = 2 * N - 1
+    ii, jj = np.divmod(np.arange(N * N), N)
+    layout = (np.lexsort((ii, ii + jj)),
+              (ii + jj + 1) * (2 * T + 1) + ii - jj + T)
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
 
 def coupling_check_detail(seed: int, N: int, q: float = 0.25):
     """Run one coupled realization; return (ok, first_violation), the first
@@ -219,12 +258,11 @@ def coupling_check_detail(seed: int, N: int, q: float = 0.25):
     rng = replica_generator(seed, 1, 0)
     w = geometric_from_uniform(rng.random((N, N)), q)
     T = 2 * N - 1
-    ii, jj = np.divmod(np.arange(N * N), N)
-    noise = w.ravel()[np.lexsort((ii, ii + jj))]
+    order, cells = _coupling_layout(N)
     snap = np.empty((T + 1, 2 * T + 1), dtype=HEIGHT_DTYPE)
-    for s, h in enumerate(_grow(noise[None], T, (0, 0))):
+    for s, h in enumerate(_grow(w.ravel()[order][None], T, (0, 0))):
         snap[s] = h[0]
-    h_cells = snap[ii + jj + 1, ii - jj + T].reshape(N, N)
+    h_cells = snap.take(cells).reshape(N, N)
     g = last_passage_table(w)
     bad = np.argwhere(h_cells != g)
     if bad.size == 0:

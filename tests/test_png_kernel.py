@@ -252,3 +252,63 @@ def test_scaled_kernel_decay_envelope():
             val = k_tilde(pars, LatticePoint(0, x), LatticePoint(0, y))
             bound = 10.0 * N ** (-1.0 / 3.0) * math.exp(-0.5 * (xr + yr))
             assert abs(val) <= bound
+
+
+def _n64_box_sum():
+    # criterion 10's lattice at N = 64 (K1 = 7, j1 = 116, window
+    # [113, 119]): the box sum of four joints and the two single-time
+    # values at j1 and j1 - 1
+    pars = default_params(0.5, 64)
+    joints = [joint_gap_probability(pars, [(0, a), (7, b)])
+              for a in (116, 115) for b in (119, 112)]
+    singles = [discrete_gap_probability(pars, 0, m) for m in (116, 115)]
+    return joints + singles
+
+
+def test_contour_ffts_are_taken_once_per_key(monkeypatch):
+    keys, ffts = set(), []
+    scan, fft = png_kernel._coefficient_scan, np.fft.fft
+
+    def recording_scan(params, t, hi, n, sign):
+        keys.add((params, t, n, sign))
+        return scan(params, t, hi, n, sign)
+
+    def counting_fft(a, *args, **kwargs):
+        ffts.append(len(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(png_kernel, "_coefficient_scan", recording_scan)
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    png_kernel._contour_fft.cache_clear()
+    png_kernel._phi_coefficients.cache_clear()
+    cold = _n64_box_sum()
+    misses = png_kernel._contour_fft.cache_info().misses
+    # at most two times, two sides, 512 and 1024 points
+    assert misses == len(keys) == len(ffts) <= 8
+    warm = _n64_box_sum()
+    assert len(ffts) == misses
+    assert [repr(v) for v in warm] == [repr(v) for v in cold]
+
+
+def test_memoised_contour_arrays_refuse_writes():
+    pars = default_params(0.5, 64)
+    for a in (png_kernel._contour_fft(pars, 0, 512, 1),
+              png_kernel._contour_fft(pars, 7, 512, -1),
+              png_kernel._phi_coefficients(pars.alpha, 7, 512)):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # and what a caller gets back is its own
+    scan = png_kernel._coefficient_scan(pars, 0, 200, 512, 1)
+    scan[0] = 0.0
+    assert png_kernel._coefficient_scan(pars, 0, 200, 512, 1)[0] != 0.0
+
+
+def test_gap_far_below_the_edge_raises():
+    # at N = 1024 the edge is near 2048 and a fluctuation scale d N^(1/3)
+    # is 18.3 sites. 1930 (6.4 scales below) still returns a number; at
+    # 1900 (8.1 scales) the contour's imaginary residual, 2.0e-10, exceeds
+    # the 1e-10 guard, and the call must raise rather than return one
+    pars = default_params(0.5, 1024)
+    assert 0.0 < discrete_gap_probability(pars, 0, 1930) < 1e-10
+    with pytest.raises(NumericsError, match="imaginary residual"):
+        discrete_gap_probability(pars, 0, 1900)

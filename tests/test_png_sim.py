@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +152,60 @@ def test_lpp_table_recurrence(seed):
             assert g[i, j] == w[i, j] + max(up, left)
 
 
+def test_lpp_table_matches_enumeration_with_a_batch_axis():
+    # signed weights, so every cell's max over its two neighbours matters;
+    # each cell is the enumerated corner value of its sub-rectangle
+    rng = np.random.default_rng(7)
+    w = rng.integers(-5, 6, (3, 4, 5))
+    g = last_passage_table(w)
+    assert g.shape == w.shape and g.dtype == np.int64
+    for b in range(3):
+        for i in range(4):
+            for j in range(5):
+                assert g[b, i, j] == lpp_bruteforce(w[b, :i + 1, :j + 1])
+
+
+@pytest.mark.parametrize("block", [1, 7, 30])
+def test_lpp_row_blocks_leave_the_table_unchanged(monkeypatch, block):
+    # blocks of one row, of a row and a part, and of several rows that end
+    # inside the table give the one-call table bit for bit
+    rng = np.random.default_rng(8)
+    w = rng.integers(-9, 10, (2, 11, 6))
+    whole = last_passage_table(w)
+    monkeypatch.setattr(png_sim, "_LPP_BLOCK", block)
+    assert np.array_equal(last_passage_table(w), whole)
+    assert np.array_equal(last_passage_batch(w), whole[:, -1, -1])
+
+
+@pytest.mark.parametrize("shape", [(64, 3, 3), (64, 1, 6), (64, 2, 4)])
+def test_lpp_batch_shapes_match_enumeration(shape):
+    rng = np.random.default_rng(9)
+    w = rng.integers(-4, 9, shape)
+    batch = last_passage_batch(w)
+    assert batch.shape == shape[:1] and batch.dtype == np.int64
+    assert batch.tolist() == [lpp_bruteforce(wi) for wi in w]
+    big = geometric_from_uniform(rng.random((50_000,) + shape[1:]), 0.25)
+    assert np.array_equal(last_passage_batch(big),
+                          last_passage_table(big)[:, -1, -1])
+
+
+def test_lpp_batch_keeps_temporaries_bounded():
+    # a 10^5 x 3 x 3 batch holds two table rows, one row of w - S and the
+    # corner values: 3 1/3 rows of 2.4 MB, where one row per temporary of
+    # the unrolled recurrence took 4 and a full-size S would add 3
+    w = geometric_from_uniform(
+        replica_generator(5, 2, 0).random((100_000, 3, 3)), 0.25)
+    row = w[:, 0].nbytes
+    tracemalloc.start()
+    try:
+        g = last_passage_batch(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * row
+    assert np.array_equal(g[:100], [lpp_bruteforce(wi) for wi in w[:100]])
+
+
 # ---------------------------------------------------------------------------
 # The exact coupling.
 # ---------------------------------------------------------------------------
@@ -203,6 +259,19 @@ def test_coupling_reports_first_violation_in_ij_order(monkeypatch):
                                0.25)
     h = int(table(w)[3, 6])
     assert coupling_check_detail(4, 8) == (False, (4, 7, h - 2, h))
+
+
+def test_coupling_layout_is_memoised_read_only():
+    # N = 3, 0-based: w read along anti-diagonals, i ascending; cell (i, j)
+    # at time i + j + 1 and position i - j of the (6, 11) snapshots, T = 5
+    order, cells = png_sim._coupling_layout(3)
+    assert order.tolist() == [0, 1, 3, 2, 4, 6, 5, 7, 8]
+    assert cells.tolist() == [(i + j + 1) * 11 + i - j + 5
+                              for i in range(3) for j in range(3)]
+    assert png_sim._coupling_layout(3)[0] is order
+    for a in (order, cells):
+        with pytest.raises(ValueError):
+            a[0] = 1
 
 
 def test_coupling_size_domain():
