@@ -10,8 +10,7 @@ from .airy_kernel import (SpaceTimePoint, extended_airy_kernel, a_tilde,
 from .fredholm import (TimeGrid, DiscretizedOperator, build_operator,
                        gap_probability, tw2_cdf, tw2_pdf,
                        conditional_window_probability,
-                       increment_variance, long_range_covariance,
-                       moment_identity_check)
+                       increment_variance, long_range_covariance)
 from .png_sim import (PngConfig, HeightField, simulate, last_passage_G,
                       coupling_check, coupling_check_detail, rescale_H,
                       d_scaling, growth_speed)

@@ -16,13 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
 
 import numpy as np
 
 from .errors import DomainError, NumericsError, settled
 from .airy_kernel import Leg, kernel_block
-from .special import gauss_legendre, panel_rule
+from .special import panel_rule
 
 DEFAULT_NODES = 192
 DEFAULT_CUTOFF = 16.0
@@ -405,133 +404,3 @@ def long_range_covariance(t: float, n: int = 96,
     if not 2.0 <= t <= 6.0:
         raise DomainError("long_range_covariance supports t in [2, 6]")
     return _covariance(t, n, L)
-
-
-# ---------------------------------------------------------------------------
-# Factorial-moment identity check.
-# ---------------------------------------------------------------------------
-
-def _cells(lo: float, hi: float, m: int):
-    edges = np.linspace(lo, hi, m + 1)
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _void_dets(grid: TimeGrid, cell_sets):
-    """Build one operator over every cell and return a closure computing
-    det(I - D) on arbitrary index subsets.
-
-    ``cell_sets`` is a list of lists of (time_index, lo, hi); the closure
-    takes tuples of flat cell indices.
-    """
-    legs = []
-    index_of = {}
-    flat = 0
-    per_cell_nodes = 6
-    for cells in cell_sets:
-        for (ti, lo, hi) in cells:
-            rule = gauss_legendre(per_cell_nodes, lo, hi)
-            legs.append(Leg(grid.times[ti], rule.nodes, rule.weights))
-            index_of[flat] = slice(flat * per_cell_nodes,
-                                   (flat + 1) * per_cell_nodes)
-            flat += 1
-    D = _operator_from_legs(legs).block_matrix
-
-    def void(cell_indices) -> float:
-        idx = np.concatenate([np.arange(index_of[c].start, index_of[c].stop)
-                              for c in cell_indices])
-        return _det_i_minus(D[np.ix_(idx, idx)])
-
-    return void
-
-
-def _lhs_mesh_estimate(grid: TimeGrid, boxes, mesh: int) -> float:
-    """Factorial moment from occupation probabilities of a cell mesh.
-
-    Each box is split into ``mesh`` cells; since the process a.s. has at
-    most one particle per shrinking cell, the falling factorial (#B)_k is
-    k! times the number of k-sets of occupied cells, so
-      E[prod_i (#B_i)_{k_i}] ~ prod_i k_i! sum P[every chosen cell >= 1]
-    over one k_i-set of cells per box, and joint occupation probabilities
-    expand by inclusion-exclusion into void probabilities det(I - K) over
-    cell unions.
-    """
-    cell_sets = []
-    for (ti, (lo, hi), _k) in boxes:
-        cell_sets.append([(ti, a, b) for a, b in _cells(lo, hi, mesh)])
-    void = _void_dets(grid, cell_sets)
-
-    def occupied(cells):
-        """P[every listed cell holds >= 1 particle], by inclusion-exclusion."""
-        total = 0.0
-        p = len(cells)
-        for mask in range(1 << p):
-            chosen = tuple(cells[i] for i in range(p) if mask & (1 << i))
-            total += (-1) ** len(chosen) * (1.0 if not chosen
-                                            else void(chosen))
-        return total
-
-    groups = [combinations(range(b * mesh, (b + 1) * mesh), k)
-              for b, (_ti, _iv, k) in enumerate(boxes)]
-    scale = math.prod(math.factorial(k) for *_x, k in boxes)
-    return scale * sum(occupied(sum(cells, ()))
-                       for cells in product(*groups))
-
-
-def _rhs_correlation_integral(grid: TimeGrid, boxes,
-                              nodes_per_dim: int = 24) -> float:
-    """Quadrature of the k-point correlation determinant over the box
-    product."""
-    slots = []
-    for (ti, (lo, hi), k) in boxes:
-        rule = gauss_legendre(nodes_per_dim, lo, hi)
-        for _ in range(k):
-            slots.append((ti, rule.nodes, rule.weights))
-    k = len(slots)
-    legs = [Leg(grid.times[ti], nodes, np.ones_like(nodes))
-            for ti, nodes, _w in slots]
-    # one k x k correlation matrix per node tuple (a_1, ..., a_k)
-    idx = np.indices((nodes_per_dim,) * k).reshape(k, -1)
-    mats = np.empty((idx.shape[1], k, k))
-    for i in range(k):
-        for j in range(k):
-            mats[:, i, j] = _kernel_block(legs[i], legs[j])[idx[i], idx[j]]
-    weights = slots[0][2]
-    for _ti, _nodes, w in slots[1:]:
-        weights = np.multiply.outer(weights, w)
-    return float(weights.ravel() @ np.linalg.det(mats))
-
-
-def moment_identity_check(grid: TimeGrid, boxes):
-    """Return (lhs, rhs) of the factorial-moment identity for the listed
-    boxes.
-
-    ``boxes`` is a list of (time_index, (lo, hi), k_i) with k_i in {1, 2}
-    and total order at most 3; intervals on a common time line must be
-    disjoint.  lhs comes from cell meshes of void probabilities (two mesh
-    sizes, Richardson extrapolated), rhs from quadrature of the
-    correlation determinant.
-    """
-    boxes = [(int(ti), (float(lo), float(hi)), int(k))
-             for ti, (lo, hi), k in boxes]
-    for ti, (lo, hi), k in boxes:
-        if not 0 <= ti < grid.m:
-            raise DomainError("box time index out of range")
-        if k not in (1, 2):
-            raise DomainError("k_i must be 1 or 2")
-        if hi < lo:
-            raise DomainError("box interval reversed")
-    for i, (ti, (lo, hi), _) in enumerate(boxes):
-        for tj, (lo2, hi2), _k in boxes[i + 1:]:
-            if ti == tj and not (hi <= lo2 or hi2 <= lo):
-                raise DomainError("boxes on one time line must be disjoint")
-    if any(hi == lo for _t, (lo, hi), _k in boxes):
-        return 0.0, 0.0
-    total_k = sum(k for *_x, k in boxes)
-    if total_k > 3:
-        raise DomainError("total factorial order k must be <= 3")
-    mesh = 8 if total_k == 3 else 16
-    coarse = _lhs_mesh_estimate(grid, boxes, mesh)
-    fine = _lhs_mesh_estimate(grid, boxes, 2 * mesh)
-    lhs = 2.0 * fine - coarse
-    rhs = _rhs_correlation_integral(grid, boxes)
-    return lhs, rhs

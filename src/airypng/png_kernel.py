@@ -19,7 +19,9 @@ column y of H those of h from w^-y on.  Both are real up to rounding, as
 f(conj z) = conj f(z); one FFT per distinct time and side serves a whole
 multi-time matrix; the point count doubles until the Cauchy-Schwarz bound
 on the product's change, from row norms of F, H and their changes, meets
-the tolerance, and only then is the one real product formed.  Each FFT is
+the tolerance, and only then is the one real product formed.  A level
+scans, per time and side, only the coefficients its lines read, from the
+lowest line's start to the highest line's end.  Each FFT is
 memoised per process (_contour_fft, keyed by params, time, points and
 side; phi's by alpha, v - u and points, _phi_coefficients), read-only and
 at most 32 entries per memo, so a gap determinant, its window's tail bound
@@ -28,7 +30,9 @@ placed at the stationary points of the integrand exponent (near |z| = 1
 in the scaling window), which keeps the circle maxima within a few e-folds
 of the extracted coefficients; fixed radii far from the stationary point
 lose tens of digits to cancellation at large N.  Gap determinants take the
-window that the expected number of points beyond it certifies (_window).
+window that the expected number of points beyond it certifies (_window),
+read as the row-wise dot of the settled F and H, the product's diagonal
+without the product.
 """
 
 from __future__ import annotations
@@ -112,13 +116,14 @@ def _contour_fft(params, t, n, sign):
     return out
 
 
-def _coefficient_scan(params, t, hi, n, sign):
-    """Trapezoid coefficients 0..hi on n points of z^j in f at time t on
-    |z| = r2 (sign +1), or of w^-j in h = 1/f at time t on |w| = r1 (-1)."""
+def _coefficient_scan(params, t, lo, hi, n, sign):
+    """Trapezoid coefficients lo..hi on n points of z^j in f at time t on
+    |z| = r2 (sign +1), or of w^-j in h = 1/f at time t on |w| = r1 (-1);
+    each equals its entry in the full scan 0..hi bit for bit."""
     r = params.r2 if sign > 0 else params.r1
     if hi * abs(math.log(r)) > 690.0:
         raise NumericsError(_RANGE)
-    js = np.arange(hi + 1)
+    js = np.arange(lo, hi + 1)
     return (_contour_fft(params, t, n, sign)[sign * js % n] / n
             * r ** (-sign * js))
 
@@ -163,19 +168,23 @@ def _factors(params, rows, cols, n):
                     200_000)
 
     def side(lines, sign):
-        scans = {t: _coefficient_scan(params, t, width - 1 + max(
+        # one scan per time, from its lines' lowest start to highest end
+        lo = {t: min(int(xs.min()) for s, xs in lines if s == t)
+              for t, _ in lines}
+        scans = {t: _coefficient_scan(params, t, lo[t], width - 1 + max(
             int(xs.max()) for s, xs in lines if s == t), n, sign)
-            for t in {t for t, _ in lines}}
+            for t in lo}
         return tuple(((1.0 - params.alpha) ** (2 * sign * (rows[0][0] - t))
-                      * scans[t][xs.min():xs.max() + width], xs - xs.min())
+                      * scans[t][xs.min() - lo[t]:xs.max() + width - lo[t]],
+                      xs - xs.min())
                      for t, xs in lines)
 
     return _Factors(side(rows, 1), side(cols, -1), width)
 
 
-def _ktilde_lines(params, rows, cols, tol):
-    """Ktilde_N between (time, coordinates) row and column lines as one
-    real product F H^T, at the first contour level that settles to tol."""
+def _real_factors(params, rows, cols, tol):
+    """The real F and H of Ktilde_N = F H^T between (time, coordinates) row
+    and column lines, at the first contour level that settles to tol."""
     rows, cols = ([(t, np.atleast_1d(np.asarray(xs, dtype=int)))
                    for t, xs in lines] for lines in (rows, cols))
     if min(int(xs.min()) for _t, xs in rows + cols) < 0:
@@ -188,9 +197,14 @@ def _ktilde_lines(params, rows, cols, tol):
     imag = level - real  # bounds Im K and the dropped Im F Im H^T alike
     if imag > 1e-10:
         raise NumericsError(f"contour integral imaginary residual {imag:.3e}")
-    F, H = (np.concatenate([np.lib.stride_tricks.sliding_window_view(
+    return (np.concatenate([np.lib.stride_tricks.sliding_window_view(
         run, real.width)[st] for run, st in lines])
         for lines in (real.f, real.h))
+
+
+def _ktilde_lines(params, rows, cols, tol):
+    """Ktilde_N between row and column lines as one real product F H^T."""
+    F, H = _real_factors(params, rows, cols, tol)
     with one_blas_thread:
         return F @ H.T
 
@@ -274,14 +288,15 @@ def _window(params: PngKernelParams, events) -> int:
     """The smallest W in 8 ceil(d N^(1/3)) 2^k <= 1280 whose tail bound T(W)
     is at most 5e-9: the expected number of points on the next W sites of
     each line, which bounds the probability of "none in the window, some
-    beyond it".  At equal times it is a sum of Ktilde diagonals, here each
-    line's to 1e-8 / (2 W lines), so the truncation is at most 1e-8.  The
+    beyond it".  At equal times it is a sum of Ktilde diagonals, each the
+    row-wise dot of F and H, here each line's to 1e-8 / (2 W lines), so
+    the truncation is at most 1e-8.  The
     sum over (W, 2W] stands for (W, inf): this assumes that the one-point
     density falls faster than geometrically above the edge (q^x at N = 1)."""
     for W in _doublings(8 * int(math.ceil(d_scaling(params.alpha ** 2)
                                           * params.N ** (1.0 / 3.0))), 1280):
-        tail = sum(float(np.abs(np.diagonal(ktilde_matrix(
-            params, u, u, *2 * [np.arange(thr + W + 1, thr + 2 * W + 1)],
+        tail = sum(float(np.abs(np.einsum("ij,ij->i", *_real_factors(
+            params, *2 * [[(u, np.arange(thr + W + 1, thr + 2 * W + 1))]],
             1e-8 / (2 * W * len(events))))).sum()) for u, thr in events)
         if tail <= 0.5e-8:
             return W

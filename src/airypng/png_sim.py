@@ -13,7 +13,11 @@ identity bit-for-bit.
 
 One growth recursion (_grow) serves simulate, the coupling check and the
 batched Monte Carlo, and one row recurrence (_lpp_rows) serves the full
-last-passage table and the batched corner value.
+last-passage table and the batched corner value. Its along-row scans run
+along whichever axis is longer: over a row's columns, with the leading
+axes as the vector, when those hold strictly more elements than the row
+(a batch of 3 x 3 fields), and along the row otherwise (a 200 x 200
+table).
 
 Randomness is counter-based (Philox); the stream of a replica is a pure
 function of (master_seed, stream tag, replica index). Heights at positions
@@ -103,16 +107,21 @@ def replica_generator(master_seed: int, tag: int, replica: int) -> np.random.Gen
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _cone_windows(n_steps: int, x_min: int, x_max: int):
+@lru_cache(maxsize=16)
+def _cone_windows(n_steps: int, x_min: int, x_max: int) -> tuple:
     """For each step s = 1..T: the window [a, b] that step s updates (the
     backward light cone of [x_min, x_max] at time T, cut to |x| <= s-1),
-    the first active site a0 in it and the number n of active sites."""
+    the first active site a0 in it and the number n of active sites.
+    Memoised, so _grow and evolve_batch_heights read one tuple per
+    (T, cone): under 180 T bytes an entry, 1.5 MB for all 16 at T = 511."""
     T = n_steps
+    windows = []
     for s in range(1, T + 1):
         a = max(-(s - 1), x_min - (T - s))
         b = min(s - 1, x_max + (T - s))
         a0 = a + (s - a + 1) % 2
-        yield a, b, a0, max(0, (b - a0) // 2 + 1)
+        windows.append((a, b, a0, max(0, (b - a0) // 2 + 1)))
+    return tuple(windows)
 
 
 def _grow(noise: np.ndarray, n_steps: int, cone=None):
@@ -164,7 +173,22 @@ def simulate(config: PngConfig) -> HeightField:
 # Last-passage percolation.
 # ---------------------------------------------------------------------------
 
-_LPP_BLOCK = 1 << 16  # elements of w per cumulative-sum call
+_LPP_BLOCK = 1 << 16  # elements of w per cumulative-sum call and batch chunk
+
+
+def _scan(op, a, out):
+    """out = op.accumulate(a, axis=-1) for op np.add or np.maximum; out
+    may be a.  Loops over the row's columns, the leading axes being the
+    vector, when those hold strictly more elements than the row: an
+    accumulate along a short row costs about three times more per
+    element."""
+    n = a.shape[-1]
+    if a.size <= n * n:
+        op.accumulate(a, axis=-1, out=out)
+        return
+    out[..., 0] = a[..., 0]
+    for j in range(1, n):
+        op(out[..., j - 1], a[..., j], out=out[..., j])
 
 
 def _lpp_rows(w, out):
@@ -176,21 +200,24 @@ def _lpp_rows(w, out):
     row is S_0, since no path enters it from above. S, written straight
     into out, and w - S take one call each per block of rows holding
     _LPP_BLOCK elements (one row in a ring); each row then takes three
-    in-place calls."""
+    in-place calls. Both along-row scans, S and the running max, go
+    through _scan, which loops over the columns when the leading axes are
+    longer than a row (a batch of small fields) and accumulates along the
+    rows otherwise (a coupling table)."""
     M, R = w.shape[-2], out.shape[-2]
     step = max(1, _LPP_BLOCK * M // max(w.size, 1)) if R == M else 1
     d = np.empty(w.shape[:-2] + (min(step, M - 1), w.shape[-1]), w.dtype)
     for i0 in range(0, M, step):
         i1 = min(i0 + step, M)
-        np.cumsum(w[..., i0:i1, :], axis=-1,
-                  out=out[..., i0 % R:i0 % R + i1 - i0, :])
+        _scan(np.add, w[..., i0:i1, :],
+              out[..., i0 % R:i0 % R + i1 - i0, :])
         a = max(i0, 1)
         np.subtract(w[..., a:i1, :], out[..., a % R:a % R + i1 - a, :],
                     out=d[..., :i1 - a, :])
         for k, i in enumerate(range(a, i1)):
             row = d[..., k, :]
             row += out[..., (i - 1) % R, :]
-            np.maximum.accumulate(row, axis=-1, out=row)
+            _scan(np.maximum, row, row)
             out[..., i % R, :] += row
 
 
@@ -215,14 +242,21 @@ def last_passage_table(w: np.ndarray) -> np.ndarray:
 
 def last_passage_batch(w: np.ndarray) -> np.ndarray:
     """G(M, N) for a batch of weight fields, shape (B, M, N) -> (B,),
-    keeping two table rows per field at a time."""
+    in chunks of about _LPP_BLOCK elements of w, keeping two table rows
+    per field of a chunk at a time."""
     w = np.asarray(w, dtype=HEIGHT_DTYPE)
-    M = w.shape[-2]
+    lead, (M, N) = w.shape[:-2], w.shape[-2:]
+    w = w.reshape(-1, M, N)
+    c = max(1, _LPP_BLOCK // max(M * N, 1))
     # ring-major, so that each ring row is one contiguous run
-    out = np.moveaxis(np.empty((min(M, 2),) + w.shape[:-2] + w.shape[-1:],
+    out = np.moveaxis(np.empty((min(M, 2), min(c, len(w)), N),
                                dtype=HEIGHT_DTYPE), 0, -2)
-    _lpp_rows(w, out)
-    return out[..., (M - 1) % out.shape[-2], -1].copy()
+    g = np.empty(len(w), dtype=HEIGHT_DTYPE)
+    for b0 in range(0, len(w), c):
+        ring = out[:len(w) - b0]
+        _lpp_rows(w[b0:b0 + c], ring)
+        g[b0:b0 + c] = ring[:, (M - 1) % ring.shape[-2], -1]
+    return g.reshape(lead)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from airypng.airy_kernel import (Leg, extended_airy_kernel, kernel_block,
 from airypng.fredholm import (TimeGrid, build_operator, gap_probability,
                               tw2_cdf, tw2_pdf, conditional_window_probability,
                               increment_variance, long_range_covariance,
-                              moment_identity_check, _tw2_moments,
+                              _tw2_moments,
                               _gap_density, _density_value, _kernel_block,
                               _leg_rule, _operator_from_legs, _certified,
                               DEFAULT_CUTOFF)
@@ -19,7 +19,7 @@ from airypng.blas import one_blas_thread
 from airypng.errors import DomainError, NumericsError
 
 from conftest import child_env
-from oracles import f2_nystrom_oracle, F2_AT_ZERO
+from oracles import f2_nystrom_oracle, F2_AT_ZERO, moment_identity_check
 
 
 def test_time_grid_validation():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from airypng import png_kernel
 from airypng.png_kernel import (PngKernelParams, LatticePoint, default_params,
@@ -183,10 +184,64 @@ def test_gap_window_doubles_until_the_tail_bound_holds():
 
 def test_gap_window_raises_when_no_window_certifies(monkeypatch):
     # a kernel with one expected point on every site fails every tail bound
-    monkeypatch.setattr(png_kernel, "ktilde_matrix",
-                        lambda params, u, v, xs, ys, tol: np.eye(len(xs)))
+    monkeypatch.setattr(png_kernel, "_real_factors",
+                        lambda params, rows, cols, tol: 2 * [np.eye(
+                            len(rows[0][1]))])
     with pytest.raises(NumericsError):
         joint_gap_probability(default_params(0.5, 3), [(0, 2)])
+
+
+def _window_by_diagonal(params, events):
+    # the tail bound read off the diagonal of the full product
+    first = 8 * int(math.ceil(d_scaling(params.alpha ** 2)
+                              * params.N ** (1.0 / 3.0)))
+    for W in png_kernel._doublings(first, 1280):
+        tail = sum(float(np.abs(np.diagonal(ktilde_matrix(
+            params, u, u, *2 * [np.arange(thr + W + 1, thr + 2 * W + 1)],
+            1e-8 / (2 * W * len(events))))).sum()) for u, thr in events)
+        if tail <= 0.5e-8:
+            return W
+
+
+@pytest.mark.parametrize("N, events", [
+    (1, [(0, 0)]), (1, [(0, 3)]), (64, [(0, 128)]), (64, [(0, 95)]),
+    (64, [(0, 128), (2, 95)]), (1024, [(0, 2040), (5, 2050)]),
+    (1024, [(0, 1930)])])
+def test_window_tail_reads_the_diagonal_without_the_product(N, events):
+    # the row-wise dot of F and H is the product's diagonal up to the order
+    # of its sums, and every window is the one the full product gives
+    pars = default_params(0.5, N)
+    W = _window(pars, events)
+    assert W == _window_by_diagonal(pars, events)
+    for u, thr in events:
+        xs = np.arange(thr + W + 1, thr + 2 * W + 1)
+        tol = 1e-8 / (2 * W * len(events))
+        full = np.diagonal(ktilde_matrix(pars, u, u, xs, xs, tol))
+        dots = np.einsum("ij,ij->i", *png_kernel._real_factors(
+            pars, [(u, xs)], [(u, xs)], tol))
+        tail = np.abs(full).sum()
+        assert np.abs(dots - full).max() <= 1e-15 * tail
+        assert abs(np.abs(dots).sum() - tail) <= 1e-15 * tail
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-20, 20), st.integers(0, 1500), st.integers(0, 1500),
+       st.sampled_from([512, 1024]), st.sampled_from([1, -1]))
+def test_windowed_scan_is_a_slice_of_the_full_scan(t, a, b, n, sign):
+    pars = default_params(0.5, 64)
+    lo, hi = sorted((a, b))
+    full = png_kernel._coefficient_scan(pars, t, 0, hi, n, sign)
+    part = png_kernel._coefficient_scan(pars, t, lo, hi, n, sign)
+    assert part.tobytes() == full[lo:].tobytes()
+
+
+def test_windowed_scan_keeps_the_overflow_guard_on_hi():
+    # hi |log r2| > 690 from hi = 3785 at N = 64, whatever the scan's start
+    pars = default_params(0.5, 64)
+    assert png_kernel._coefficient_scan(pars, 0, 3700, 3700, 512, 1).size == 1
+    for lo in (0, 3000, 4000):
+        with pytest.raises(NumericsError, match="dynamic range"):
+            png_kernel._coefficient_scan(pars, 0, lo, 4000, 512, 1)
 
 
 def test_contour_doubling_converges_at_default():
@@ -269,9 +324,9 @@ def test_contour_ffts_are_taken_once_per_key(monkeypatch):
     keys, ffts = set(), []
     scan, fft = png_kernel._coefficient_scan, np.fft.fft
 
-    def recording_scan(params, t, hi, n, sign):
+    def recording_scan(params, t, lo, hi, n, sign):
         keys.add((params, t, n, sign))
-        return scan(params, t, hi, n, sign)
+        return scan(params, t, lo, hi, n, sign)
 
     def counting_fft(a, *args, **kwargs):
         ffts.append(len(a))
@@ -298,9 +353,9 @@ def test_memoised_contour_arrays_refuse_writes():
         with pytest.raises(ValueError):
             a[0] = 0.0
     # and what a caller gets back is its own
-    scan = png_kernel._coefficient_scan(pars, 0, 200, 512, 1)
+    scan = png_kernel._coefficient_scan(pars, 0, 0, 200, 512, 1)
     scan[0] = 0.0
-    assert png_kernel._coefficient_scan(pars, 0, 200, 512, 1)[0] != 0.0
+    assert png_kernel._coefficient_scan(pars, 0, 0, 200, 512, 1)[0] != 0.0
 
 
 def test_gap_far_below_the_edge_raises():

@@ -189,10 +189,83 @@ def test_lpp_batch_shapes_match_enumeration(shape):
                           last_passage_table(big)[:, -1, -1])
 
 
+class _RecordingOp:
+    """np.add or np.maximum, recording whether a scan accumulated along
+    its rows or looped over its columns."""
+
+    def __init__(self, op):
+        self.op, self.forms = op, set()
+
+    def accumulate(self, *args, **kwargs):
+        self.forms.add("rows")
+        return self.op.accumulate(*args, **kwargs)
+
+    def __call__(self, *args, **kwargs):
+        self.forms.add("columns")
+        return self.op(*args, **kwargs)
+
+
+@pytest.mark.parametrize("shape, form", [
+    ((200, 200), "rows"), ((201, 200), "columns"), ((5, 1, 5), "rows"),
+    ((4, 5, 5), "columns"), ((1, 6), "rows"), ((7, 2), "columns"),
+    ((3, 9), "rows")])
+def test_lpp_scan_loops_over_columns_only_when_the_batch_is_longer(shape,
+                                                                   form):
+    # the rule is strict: a 200 x 200 table accumulates along its rows
+    a = np.random.default_rng(10).integers(-9, 10, shape)
+    for op in (np.add, np.maximum):
+        rec, out = _RecordingOp(op), np.empty_like(a)
+        png_sim._scan(rec, a, out)
+        assert rec.forms == {form}
+        assert np.array_equal(out, op.accumulate(a, axis=-1))
+        inplace = a.copy()
+        png_sim._scan(op, inplace, inplace)
+        assert np.array_equal(inplace, out)
+
+
+def _lpp_cellwise(w):
+    """g(i, j) = w(i, j) + max(g(i-1, j), g(i, j-1)), one cell at a time."""
+    M, N = w.shape
+    g = [[0] * N for _ in range(M)]
+    for i in range(M):
+        for j in range(N):
+            up = [g[i - 1][j]] if i else []
+            left = [g[i][j - 1]] if j else []
+            g[i][j] = int(w[i, j]) + max(up + left, default=0)
+    return np.array(g)
+
+
+def test_lpp_table_200_matches_the_cellwise_recurrence():
+    # signed weights on a coupling-sized table, which scans along its rows
+    w = np.random.default_rng(11).integers(-9, 10, (200, 200))
+    assert np.array_equal(last_passage_table(w), _lpp_cellwise(w))
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 8), (3, 4, 5), (9, 2, 3),
+                                   (64, 3, 3), (6, 5, 1)])
+def test_lpp_scan_forms_match_enumeration(shape):
+    # batches shorter and longer than their rows, as tables and as batches
+    rng = np.random.default_rng(12)
+    w = rng.integers(-6, 9, shape)
+    corners = [lpp_bruteforce(wi) for wi in w]
+    assert last_passage_batch(w).tolist() == corners
+    assert last_passage_table(w)[:, -1, -1].tolist() == corners
+
+
+def test_lpp_batch_chunk_edges_match_enumeration():
+    # batches of one field fewer, exactly and one more than a chunk
+    c = png_sim._LPP_BLOCK // 9
+    w = np.random.default_rng(13).integers(-6, 9, (c + 1, 3, 3))
+    corners = [lpp_bruteforce(wi) for wi in w]
+    for B in (c - 1, c, c + 1):
+        assert last_passage_batch(w[:B]).tolist() == corners[:B]
+
+
 def test_lpp_batch_keeps_temporaries_bounded():
-    # a 10^5 x 3 x 3 batch holds two table rows, one row of w - S and the
-    # corner values: 3 1/3 rows of 2.4 MB, where one row per temporary of
-    # the unrolled recurrence took 4 and a full-size S would add 3
+    # a 10^5 x 3 x 3 batch holds the corner values (1/3 of a row of
+    # 2.4 MB) and, per chunk of _LPP_BLOCK elements, two table rows and one
+    # row of w - S (0.22 rows): 0.58 rows in all, where one unchunked ring
+    # took 3 1/3
     w = geometric_from_uniform(
         replica_generator(5, 2, 0).random((100_000, 3, 3)), 0.25)
     row = w[:, 0].nbytes
@@ -202,7 +275,7 @@ def test_lpp_batch_keeps_temporaries_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * row
+    assert peak <= 0.75 * row
     assert np.array_equal(g[:100], [lpp_bruteforce(wi) for wi in w[:100]])
 
 
