@@ -67,12 +67,6 @@ class PngKernelParams:
             raise DomainError("radii must satisfy alpha < r1 < r2 < 1/alpha")
 
 
-@dataclass(frozen=True)
-class LatticePoint:
-    u: int
-    x: int
-
-
 def default_params(alpha: float, N: int) -> PngKernelParams:
     """Radii 1 * (1 +- 0.8 N^{-1/3}), clamped into (alpha, 1/alpha)."""
     delta = 0.8 * N ** (-1.0 / 3.0)
@@ -83,13 +77,6 @@ def default_params(alpha: float, N: int) -> PngKernelParams:
         r1 = lo + 0.45 * (hi - lo)
         r2 = lo + 0.55 * (hi - lo)
     return PngKernelParams(alpha=alpha, N=N, r1=r1, r2=r2)
-
-
-def _check_lattice(params: PngKernelParams, *points: LatticePoint):
-    if any(abs(p.u) >= params.N for p in points):
-        raise DomainError("time index |u| must be < N")
-    if any(p.x < 0 for p in points):
-        raise DomainError("height coordinates must be >= 0")
 
 
 _RANGE = ("contour radii give an unrepresentable dynamic range; move them "
@@ -187,6 +174,8 @@ def _real_factors(params, rows, cols, tol):
     and column lines, at the first contour level that settles to tol."""
     rows, cols = ([(t, np.atleast_1d(np.asarray(xs, dtype=int)))
                    for t, xs in lines] for lines in (rows, cols))
+    if max(abs(t) for t, _xs in rows + cols) >= params.N:
+        raise DomainError("time index |u| must be < N")
     if min(int(xs.min()) for _t, xs in rows + cols) < 0:
         raise DomainError("height coordinates must be >= 0")
     level = settled((_factors(params, rows, cols, n)
@@ -211,15 +200,10 @@ def _ktilde_lines(params, rows, cols, tol):
 
 def ktilde_matrix(params: PngKernelParams, u: int, v: int,
                   xs, ys, tol: float = 1e-9) -> np.ndarray:
-    """Ktilde_N(2u, x; 2v, y) over coordinate arrays, the contour point count
-    doubled from 512 until it settles to ``tol`` (see _Factors)."""
+    """Ktilde_N(2u, x; 2v, y) over coordinate arrays, |u|, |v| < N and
+    x, y >= 0, the contour point count doubled from 512 until it settles
+    to ``tol`` (see _Factors)."""
     return _ktilde_lines(params, [(u, xs)], [(v, ys)], tol)
-
-
-def k_tilde(params: PngKernelParams, p: LatticePoint,
-            q_pt: LatticePoint) -> float:
-    _check_lattice(params, p, q_pt)
-    return float(ktilde_matrix(params, p.u, q_pt.u, [p.x], [q_pt.x])[0, 0])
 
 
 @lru_cache(maxsize=32)
@@ -248,18 +232,6 @@ def phi_values(params: PngKernelParams, u: int, v: int, deltas) -> np.ndarray:
     return settled((_phi_values_once(params, u, v, deltas, n)
                     for n in _doublings(_CONTOUR_POINTS)),
                    1e-12, "phi point-doubling")
-
-
-def phi_discrete(params: PngKernelParams, u: int, v: int,
-                 x: int, y: int) -> float:
-    """Transition kernel phi_{2u,2v}(x, y); depends on y - x only."""
-    return float(phi_values(params, u, v, np.array([y - x]))[0])
-
-
-def k_n(params: PngKernelParams, p: LatticePoint, q_pt: LatticePoint) -> float:
-    """K_N = Ktilde_N - phi_{2u,2v} (phi is zero unless u < v)."""
-    return (k_tilde(params, p, q_pt)
-            - phi_discrete(params, p.u, q_pt.u, p.x, q_pt.x))
 
 
 def kn_block_matrix(params: PngKernelParams, lines) -> np.ndarray:
@@ -344,8 +316,8 @@ def airy_limit_report(q: float, N_list):
             raise DomainError("airy_limit_report N range is [1, 512]")
         x = round(mu * N)
         xp = (x - mu * N) / (d * N ** (1.0 / 3.0))
-        scaled = d * N ** (1.0 / 3.0) * k_tilde(
-            default_params(alpha, N), LatticePoint(0, x), LatticePoint(0, x))
+        scaled = d * N ** (1.0 / 3.0) * float(ktilde_matrix(
+            default_params(alpha, N), 0, 0, [x], [x])[0, 0])
         ref = extended_airy_kernel(0.0, 0.0, xp, xp)
         rows.append(AiryLimitRow(N=int(N), scaled_kernel=scaled,
                                  airy_reference=ref,

@@ -11,13 +11,13 @@ mapping the last-passage weights w(i, j) onto noise at position i-j and
 time i+j-1 lands exactly on active(s), and coupling_check verifies the
 identity bit-for-bit.
 
-One growth recursion (_grow) serves simulate, the coupling check and the
-batched Monte Carlo, and one row recurrence (_lpp_rows) serves the full
-last-passage table and the batched corner value. Its along-row scans run
-along whichever axis is longer: over a row's columns, with the leading
-axes as the vector, when those hold strictly more elements than the row
-(a batch of 3 x 3 fields), and along the row otherwise (a 200 x 200
-table).
+One growth recursion (_grow) serves the batched Monte Carlo, of which
+simulate is the one-replica case, and the coupling check; one row
+recurrence (_lpp_rows) serves the full last-passage table and the
+batched corner value. Its along-row scans run along whichever axis is
+longer: over a row's columns, with the leading axes as the vector, when
+those hold strictly more elements than the row (a batch of 3 x 3
+fields), and along the row otherwise (a 200 x 200 table).
 
 Randomness is counter-based (Philox); the stream of a replica is a pure
 function of (master_seed, stream tag, replica index). Heights at positions
@@ -160,13 +160,11 @@ def _grow(noise: np.ndarray, n_steps: int, cone=None):
 
 
 def simulate(config: PngConfig) -> HeightField:
-    """Run the recursion for config.n_steps from the flat state on the
-    replica stream (seed, 0, 0)."""
+    """The heights on [-T, T] after T = config.n_steps steps from the flat
+    state: replica 0 of ``evolve_batch_heights`` on stream tag 0."""
     T = config.n_steps
-    u = replica_generator(config.seed, 0, 0).random((1, T * (T + 1) // 2))
-    for h in _grow(geometric_from_uniform(u, config.q), T):
-        pass
-    return HeightField(t=T, heights=h[0])
+    return HeightField(t=T, heights=evolve_batch_heights(
+        config.q, T, config.seed, 0, [0], np.arange(-T, T + 1))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +217,6 @@ def _lpp_rows(w, out):
             row += out[..., (i - 1) % R, :]
             _scan(np.maximum, row, row)
             out[..., i % R, :] += row
-
-
-def last_passage_G(M: int, N: int, w: np.ndarray) -> int:
-    """Max over up/right paths (1,1) -> (M,N) of the path sum of w."""
-    if M < 1 or N < 1:
-        raise DomainError("last_passage_G needs M, N >= 1")
-    w = np.asarray(w, dtype=HEIGHT_DTYPE)
-    if w.shape[0] < M or w.shape[1] < N:
-        raise DomainError("weight matrix smaller than (M, N)")
-    return int(last_passage_table(w[:M, :N])[M - 1, N - 1])
 
 
 def last_passage_table(w: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from airypng.airy_kernel import Leg
 from airypng.errors import DomainError
 from airypng.fredholm import (TimeGrid, _det_i_minus, _kernel_block,
                               _operator_from_legs)
-from airypng.special import gauss_legendre
+from airypng.special import panel_rule
 
 
 def airy_series_oracle(x: float, derivative: int = 0) -> float:
@@ -240,8 +240,8 @@ def _void_dets(grid: TimeGrid, cell_sets):
     per_cell_nodes = 6
     for cells in cell_sets:
         for (ti, lo, hi) in cells:
-            rule = gauss_legendre(per_cell_nodes, lo, hi)
-            legs.append(Leg(grid.times[ti], rule.nodes, rule.weights))
+            legs.append(Leg(grid.times[ti],
+                            *panel_rule([lo, hi], per_cell_nodes)))
             index_of[flat] = slice(flat * per_cell_nodes,
                                    (flat + 1) * per_cell_nodes)
             flat += 1
@@ -294,9 +294,9 @@ def _rhs_correlation_integral(grid: TimeGrid, boxes,
     product."""
     slots = []
     for (ti, (lo, hi), k) in boxes:
-        rule = gauss_legendre(nodes_per_dim, lo, hi)
+        nodes, weights = panel_rule([lo, hi], nodes_per_dim)
         for _ in range(k):
-            slots.append((ti, rule.nodes, rule.weights))
+            slots.append((ti, nodes, weights))
     k = len(slots)
     legs = [Leg(grid.times[ti], nodes, np.ones_like(nodes))
             for ti, nodes, _w in slots]

@@ -312,7 +312,7 @@ def test_criterion_12_phi_gaussian_approximation(acceptance_log):
         scale = d * N ** (1.0 / 3.0)
         worst = 0.0
         for k in range(0, int(math.floor(2 * scale)) + 1):
-            ph = png_kernel.phi_discrete(pars, u, v, 0, k)
+            ph = png_kernel.phi_values(pars, u, v, [k])[0]
             var = 2.0 * s_real * N ** (gamma - 2.0 / 3.0)
             gauss = math.exp(-(k / scale) ** 2 / (2.0 * var)) \
                 / math.sqrt(2.0 * math.pi * var) / scale

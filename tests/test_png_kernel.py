@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from airypng import png_kernel
-from airypng.png_kernel import (PngKernelParams, LatticePoint, default_params,
-                                k_tilde, ktilde_matrix, phi_discrete,
-                                phi_values, k_n, discrete_gap_probability,
+from airypng.png_kernel import (PngKernelParams, default_params,
+                                ktilde_matrix, phi_values,
+                                discrete_gap_probability,
                                 joint_gap_probability, kn_block_matrix,
                                 airy_limit_report, _window)
 from airypng.png_sim import (d_scaling, growth_speed, evolve_batch_heights,
@@ -38,11 +38,9 @@ def test_n1_kernel_closed_form():
     # at N=1 the kernel collapses to (1-q) sqrt(q)^(x+y)
     q = 0.25
     pars = default_params(math.sqrt(q), 1)
-    for x in range(0, 6):
-        for y in range(0, 6):
-            want = (1 - q) * math.sqrt(q) ** (x + y)
-            got = k_tilde(pars, LatticePoint(0, x), LatticePoint(0, y))
-            assert got == pytest.approx(want, abs=1e-12)
+    xs = np.arange(6)
+    want = (1 - q) * math.sqrt(q) ** np.add.outer(xs, xs)
+    assert np.abs(ktilde_matrix(pars, 0, 0, xs, xs) - want).max() <= 1e-12
 
 
 def test_n1_gap_is_geometric():
@@ -57,17 +55,33 @@ def test_radii_independence():
     a = PngKernelParams(alpha=0.5, N=4, r1=0.6, r2=1.1)
     b = PngKernelParams(alpha=0.5, N=4, r1=0.7, r2=1.3)
     for (u, x, v, y) in [(1, 7, 0, 9), (0, 8, 0, 8), (-1, 5, 2, 11)]:
-        va = k_tilde(a, LatticePoint(u, x), LatticePoint(v, y))
-        vb = k_tilde(b, LatticePoint(u, x), LatticePoint(v, y))
+        va = ktilde_matrix(a, u, v, [x], [y])[0, 0]
+        vb = ktilde_matrix(b, u, v, [x], [y])[0, 0]
         assert va == pytest.approx(vb, abs=1e-9)
 
 
 def test_lattice_domain():
     pars = default_params(0.5, 4)
     with pytest.raises(DomainError):
-        k_tilde(pars, LatticePoint(4, 3), LatticePoint(0, 3))
+        ktilde_matrix(pars, 4, 0, [3], [3])
     with pytest.raises(DomainError):
-        k_tilde(pars, LatticePoint(0, -1), LatticePoint(0, 3))
+        ktilde_matrix(pars, 0, 0, [-1], [3])
+
+
+@pytest.mark.parametrize("u", [4, -4, 5])
+@pytest.mark.parametrize("entry", [
+    lambda p, u: ktilde_matrix(p, u, 0, [3], [3]),
+    lambda p, u: ktilde_matrix(p, 0, u, [3], [3]),
+    lambda p, u: kn_block_matrix(p, [(0, np.arange(3, 6)), (u, [7])]),
+    lambda p, u: joint_gap_probability(p, [(0, 10), (u, 10)]),
+    lambda p, u: discrete_gap_probability(p, u, 10)],
+    ids=["ktilde_matrix_row", "ktilde_matrix_column", "kn_block_matrix",
+         "joint_gap_probability", "discrete_gap_probability"])
+def test_time_index_outside_the_lattice_raises(entry, u):
+    # at N = 4 the lattice has |u| <= 3; every finite-N entry refuses a
+    # time beyond it instead of returning a number
+    with pytest.raises(DomainError, match="time index"):
+        entry(default_params(0.5, 4), u)
 
 
 def test_realness_random_points():
@@ -76,22 +90,28 @@ def test_realness_random_points():
     for _ in range(20):
         u, v = rng.integers(-3, 4, 2)
         x, y = rng.integers(0, 40, 2)
-        val = k_tilde(pars, LatticePoint(int(u), int(x)),
-                      LatticePoint(int(v), int(y)))
+        val = float(ktilde_matrix(pars, int(u), int(v), [x], [y])[0, 0])
         assert isinstance(val, float) and math.isfinite(val)
 
 
 def test_phi_zero_unless_forward():
     pars = default_params(0.5, 8)
-    assert phi_discrete(pars, 3, 3, 10, 12) == 0.0
-    assert phi_discrete(pars, 3, 1, 10, 12) == 0.0
+    assert phi_values(pars, 3, 3, [2])[0] == 0.0
+    assert phi_values(pars, 3, 1, [2])[0] == 0.0
 
 
-def test_phi_translation_invariance():
+def test_phi_translation_invariance(monkeypatch):
+    # with Ktilde set to 0, K_N is -phi: its (x, y) entries depend on
+    # y - x only, and vanish unless the row time precedes the column time
+    monkeypatch.setattr(png_kernel, "_ktilde_lines",
+                        lambda params, rows, cols, tol: np.zeros((4, 4)))
     pars = default_params(0.5, 8)
-    a = phi_discrete(pars, 0, 2, 10, 12)
-    b = phi_discrete(pars, 0, 2, 11, 13)
+    K = kn_block_matrix(pars, [(0, np.array([10, 11])),
+                               (2, np.array([12, 13]))])
+    a, b = -K[0, 2], -K[1, 3]
     assert a == pytest.approx(b, abs=1e-12)
+    assert a == phi_values(pars, 0, 2, [2])[0]
+    assert not K[2:, :2].any() and not K[:2, :2].any()
 
 
 def test_phi_row_sum_mass():
@@ -103,42 +123,17 @@ def test_phi_row_sum_mass():
     assert float(vals.sum()) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_phi_gaussian_approximation_improves():
-    q = 0.25
-    alpha = 0.5
-    gamma = 1.0 / 3.0
-    errs = {}
-    for N in (64, 256):
-        d = d_scaling(q)
-        conv = (1 + alpha) / (1 - alpha) / d
-        u = int(round(N ** (2.0 / 3.0)))
-        v = u + round(conv * N ** gamma)
-        s_real = (v - u) / (conv * N ** gamma)
-        pars = default_params(alpha, N)
-        scale = d * N ** (1.0 / 3.0)
-        kmax = int(math.floor(2 * scale))
-        worst = 0.0
-        for k in range(0, kmax + 1):
-            ph = phi_discrete(pars, u, v, 0, k)
-            var = 2.0 * s_real * N ** (gamma - 2.0 / 3.0)
-            gauss = math.exp(-(k / scale) ** 2 / (2 * var)) \
-                / math.sqrt(2 * math.pi * var) / scale
-            worst = max(worst, abs(ph - gauss))
-        errs[N] = worst
-    assert errs[256] < errs[64]
-
-
 def test_kn_equal_times_is_ktilde():
     pars = default_params(0.5, 6)
-    p, q_pt = LatticePoint(1, 11), LatticePoint(1, 13)
-    assert k_n(pars, p, q_pt) == k_tilde(pars, p, q_pt)
+    xs = np.array([11, 13])
+    assert np.array_equal(kn_block_matrix(pars, [(1, xs[:1]), (1, xs[1:])]),
+                          ktilde_matrix(pars, 1, 1, xs, xs))
 
 
 def test_kn_diagonal_density_in_unit_interval():
     pars = default_params(0.5, 1)
-    for x in range(0, 11):
-        val = k_n(pars, LatticePoint(0, x), LatticePoint(0, x))
-        assert -1e-12 <= val <= 1.0 + 1e-12
+    vals = np.diagonal(kn_block_matrix(pars, [(0, np.arange(11))]))
+    assert np.all((-1e-12 <= vals) & (vals <= 1.0 + 1e-12))
 
 
 def test_kn_time_order_asymmetry_anchors():
@@ -150,7 +145,7 @@ def test_kn_time_order_asymmetry_anchors():
         ((-1, 10, 2, 14), -0.02375353756292509),
     ]
     for (u, x, v, y), want in anchors:
-        got = k_n(pars, LatticePoint(u, x), LatticePoint(v, y))
+        got = kn_block_matrix(pars, [(u, [x]), (v, [y])])[0, 1]
         assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -298,15 +293,11 @@ def test_scaled_kernel_decay_envelope():
     d = d_scaling(q)
     mu = growth_speed(q)
     pars = default_params(alpha, N)
-    for xp in np.linspace(0.0, 3.0, 4):
-        for yp in np.linspace(0.0, 3.0, 4):
-            x = round(mu * N + xp * d * N ** (1.0 / 3.0))
-            y = round(mu * N + yp * d * N ** (1.0 / 3.0))
-            xr = (x - mu * N) / (d * N ** (1.0 / 3.0))
-            yr = (y - mu * N) / (d * N ** (1.0 / 3.0))
-            val = k_tilde(pars, LatticePoint(0, x), LatticePoint(0, y))
-            bound = 10.0 * N ** (-1.0 / 3.0) * math.exp(-0.5 * (xr + yr))
-            assert abs(val) <= bound
+    xs = np.round(mu * N + np.linspace(0.0, 3.0, 4) * d * N ** (1.0 / 3.0))
+    xr = (xs - mu * N) / (d * N ** (1.0 / 3.0))
+    vals = ktilde_matrix(pars, 0, 0, *2 * [xs.astype(int)])
+    bound = 10.0 * N ** (-1.0 / 3.0) * np.exp(-0.5 * np.add.outer(xr, xr))
+    assert np.all(np.abs(vals) <= bound)
 
 
 def _n64_box_sum():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from airypng import png_sim
 from airypng.png_sim import (PngConfig, HeightField, simulate,
                              geometric_from_uniform, replica_generator,
-                             last_passage_G, last_passage_table,
+                             last_passage_table,
                              last_passage_batch, coupling_check,
                              coupling_check_detail, rescale_H,
                              evolve_batch_heights, d_scaling, growth_speed,
@@ -111,23 +111,23 @@ def test_active_sites_parity():
 
 def test_lpp_single_cell():
     w = np.array([[7]])
-    assert last_passage_G(1, 1, w) == 7
+    assert last_passage_table(w)[0, 0] == 7
 
 
 def test_lpp_all_ones():
     w = np.ones((4, 6), dtype=int)
-    assert last_passage_G(4, 6, w) == 4 + 6 - 1
+    assert last_passage_table(w)[3, 5] == 4 + 6 - 1
 
 
 def test_lpp_against_bruteforce():
     # signed weights: a missing up/left neighbour means no path, not 0
-    assert last_passage_G(1, 2, [[-1, -1]]) == -2
+    assert last_passage_table([[-1, -1]])[0, 1] == -2
     rng = np.random.default_rng(0)
     for shape, lo, hi in [((3, 3), -6, 7), ((4, 5), -4, 5), ((1, 6), -3, 3),
                           ((5, 1), -3, 3)]:
         for _ in range(10):
             w = rng.integers(lo, hi, shape)
-            assert last_passage_G(*shape, w) == lpp_bruteforce(w)
+            assert last_passage_table(w)[-1, -1] == lpp_bruteforce(w)
             assert last_passage_batch(w[None])[0] == lpp_bruteforce(w)
 
 
@@ -135,7 +135,7 @@ def test_lpp_batch_matches_single():
     rng = np.random.default_rng(1)
     w = rng.integers(0, 9, (16, 3, 3))
     batch = last_passage_batch(w)
-    singles = [last_passage_G(3, 3, wi) for wi in w]
+    singles = [last_passage_table(wi)[2, 2] for wi in w]
     assert np.array_equal(batch, np.array(singles))
 
 
@@ -471,7 +471,7 @@ def test_light_cone_identity(T):
         w = np.zeros((i, j), dtype=np.int64)
         for (a, b), v in zip(cells, drawn):
             w[a, b] = v
-        assert h == (last_passage_G(i, j, w) if i and j else 0)
+        assert h == (last_passage_table(w)[-1, -1] if i and j else 0)
 
 
 @pytest.mark.parametrize("T, positions, draws", [(255, [0, 16], 17_372),

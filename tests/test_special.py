@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import airypng
 from airypng import airy_kernel, fredholm, special
 from airypng.special import (airy_ai, airy_ai_prime, airy_ai_aip_vec,
-                             gauss_legendre, PANEL_EDGE, PANEL_WIDTH)
+                             panel_rule, PANEL_EDGE, PANEL_WIDTH)
 from airypng.errors import DomainError
 
 from oracles import airy_series_oracle, airy_first_zero, airy_ai_second
@@ -203,20 +203,19 @@ def test_traced_names_exist(layer):
 # ---------------------------------------------------------------------------
 
 def test_single_node_rule_is_midpoint():
-    rule = gauss_legendre(1, -1.0, 1.0)
-    assert rule.nodes[0] == pytest.approx(0.0, abs=1e-15)
-    assert rule.weights[0] == pytest.approx(2.0, abs=1e-15)
+    nodes, weights = panel_rule([-1.0, 1.0], 1)
+    assert nodes[0] == pytest.approx(0.0, abs=1e-15)
+    assert weights[0] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_degree_nine_monomial():
-    rule = gauss_legendre(5, 0.0, 1.0)
-    assert np.dot(rule.weights, rule.nodes ** 9) == pytest.approx(0.1,
-                                                                  abs=1e-14)
+    nodes, weights = panel_rule([0.0, 1.0], 5)
+    assert np.dot(weights, nodes ** 9) == pytest.approx(0.1, abs=1e-14)
 
 
 def test_exponential_integral():
-    rule = gauss_legendre(40, 0.0, 20.0)
-    val = np.dot(rule.weights, np.exp(-rule.nodes))
+    nodes, weights = panel_rule([0.0, 20.0], 40)
+    val = np.dot(weights, np.exp(-nodes))
     assert val == pytest.approx(1.0 - math.exp(-20.0), abs=1e-12)
 
 
@@ -224,19 +223,29 @@ def test_exponential_integral():
 @given(n=st.integers(1, 40),
        a=st.floats(-5, 4.5), width=st.floats(0.1, 10))
 def test_rule_invariants(n, a, width):
-    rule = gauss_legendre(n, a, a + width)
-    assert np.all(rule.weights > 0)
-    assert np.all(np.diff(rule.nodes) > 0)
-    assert rule.nodes[0] > a and rule.nodes[-1] < a + width
-    assert np.sum(rule.weights) == pytest.approx(width, abs=1e-13)
+    nodes, weights = panel_rule([a, a + width], n)
+    assert np.all(weights > 0)
+    assert np.all(np.diff(nodes) > 0)
+    assert nodes[0] > a and nodes[-1] < a + width
+    assert np.sum(weights) == pytest.approx(width, abs=1e-13)
     for k in range(0, 2 * n, max(1, (2 * n) // 6)):
         exact = ((a + width) ** (k + 1) - a ** (k + 1)) / (k + 1)
-        got = float(np.dot(rule.weights, rule.nodes ** k))
+        got = float(np.dot(weights, nodes ** k))
         assert got == pytest.approx(exact, rel=1e-12, abs=1e-13)
 
 
+def test_panels_are_the_single_panel_rules():
+    # every panel of a composite rule is bit for bit the rule on that panel
+    edges = [0.0, 0.35, 1.05, 2.8, 7.0, 11.0]
+    nodes, weights = panel_rule(edges, 6)
+    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        x, w = panel_rule([a, b], 6)
+        assert nodes[6 * k:6 * k + 6].tobytes() == x.tobytes()
+        assert weights[6 * k:6 * k + 6].tobytes() == w.tobytes()
+
+
 def test_rule_preconditions():
-    with pytest.raises(DomainError):
-        gauss_legendre(0, 0, 1)
-    with pytest.raises(DomainError):
-        gauss_legendre(4, 1.0, 1.0)
+    for edges, n in [([0.0, 1.0], 0), ([1.0, 1.0], 4), ([0.0, 2.0, 1.0], 4),
+                     ([0.0], 4), ([0.0, float("nan")], 4)]:
+        with pytest.raises(DomainError):
+            panel_rule(edges, n)
