@@ -5,10 +5,8 @@ plus the statistical experiments comparing both to Brownian motion."""
 
 from .errors import DomainError, NumericsError, InsufficientDataError
 from .special import airy_ai, airy_ai_prime, panel_rule
-from .airy_kernel import (SpaceTimePoint, extended_airy_kernel, a_tilde,
-                          heat_phi, correlation_R)
-from .fredholm import (TimeGrid, DiscretizedOperator, build_operator,
-                       gap_probability, tw2_cdf, tw2_pdf,
+from .airy_kernel import extended_airy_kernel, a_tilde, heat_phi
+from .fredholm import (TimeGrid, gap_probability, tw2_cdf, tw2_pdf,
                        conditional_window_probability,
                        increment_variance, long_range_covariance)
 from .png_sim import (PngConfig, HeightField, simulate, last_passage_table,

@@ -1,12 +1,14 @@
-"""The two-time Airy kernel, its heat-kernel decomposition and correlation
-functions.
+"""The two-time Airy kernel and its heat-kernel decomposition.
 
 One evaluator, ``kernel_block``, gives A_{s,t}(x_a, y_b) on the nodes of two
-``Leg``s (time lines whose Airy values are cached on the quadrature grids).
-It takes one of three routes per block, each one scaled matmul:
+``Leg``s (time lines whose Airy values are cached on the quadrature grids),
+and it alone picks a block's route.  Equal times take the closed form
+(Ai(x) Ai'(y) - Ai'(x) Ai(y)) / (x - y) on the nodes' (Ai, Ai'), with
+Ai'(x)^2 - x Ai(x)^2 where x == y.  Otherwise the block is one scaled
+matmul on one of three routes:
 
-* ``s >= t`` (equal times included): ``int_0^inf exp(-z(s-t)) Ai(x+z)
-  Ai(y+z) dz``, absolutely convergent;
+* ``s >= t``: ``int_0^inf exp(-z(s-t)) Ai(x+z) Ai(y+z) dz``, absolutely
+  convergent;
 * the decomposition ``a_tilde - heat_phi``: the growing exponential under
   the same integral, minus the closed-form heat kernel, while ``t-s <=
   A_TILDE_MAX_GAP`` and kappa = (t-s)^3/12 - (t-s) lo/2 <= _CANCEL_BUDGET
@@ -14,9 +16,11 @@ It takes one of three routes per block, each one scaled matmul:
 * otherwise the mirrored integral ``-int_0^inf exp(-u(t-s)) Ai(x-u)
   Ai(y-u) du``, absolutely convergent for any ``t-s > 0``.
 
-``kernel_grid`` is one such block on one leg per axis, accepted after a
-48/96 node-doubling check of every entry; ``extended_airy_kernel`` and
-``a_tilde`` are its 1x1 case (so lo = x + y).
+``kernel_grid`` is one such route on one leg per axis, equal times
+included (the closed form cancels badly for coordinates that differ by
+little but not by 0), accepted after a 48/96 node-doubling check of every
+entry; ``extended_airy_kernel`` and ``a_tilde`` are its 1x1 case (so lo =
+x + y).
 
 Grid cut.  A leg evaluates Ai on its quadrature grids only at arguments up
 to its cut c = max(20, (x_+^(3/2) + 60)^(2/3)), x_+ = max(min node, 0);
@@ -41,7 +45,6 @@ leg keeps every column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -64,18 +67,6 @@ _Z_MAX = 60.0
 
 # Ai(c) / Ai(x_+) <= about exp(-_PEAK_DECAY) at the grid cut (``_cut``).
 _PEAK_DECAY = 40.0
-
-
-@dataclass(frozen=True)
-class SpaceTimePoint:
-    """A point (t, x) on time line t."""
-
-    t: float
-    x: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t) and math.isfinite(self.x)):
-            raise DomainError("SpaceTimePoint needs finite coordinates")
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +203,17 @@ def _route(s: float, t: float, lo: float):
 
 
 def kernel_block(leg_i: Leg, leg_j: Leg) -> np.ndarray:
-    """Matrix A_{t_i, t_j}(x_a, y_b) over the two node sets (no weights)."""
+    """Matrix A_{t_i, t_j}(x_a, y_b) over the two node sets (no weights):
+    the closed form at equal times, else the route's integral."""
+    if leg_i.t == leg_j.t:
+        ai_x, aip_x = leg_i.ai_aip()
+        ai_y, aip_y = leg_j.ai_aip()
+        x = leg_i.nodes
+        dx = x[:, None] - leg_j.nodes[None, :]
+        same = dx == 0.0
+        cross = ai_x[:, None] * aip_y[None, :] - aip_x[:, None] * ai_y[None, :]
+        diagonal = (aip_x * aip_x - x * ai_x * ai_x)[:, None]
+        return np.where(same, diagonal, cross / np.where(same, 1.0, dx))
     integral, heat_gap = _route(leg_i.t, leg_j.t,
                                 leg_i.nodes.min() + leg_j.nodes.min())
     block = integral(leg_i, leg_j)
@@ -244,19 +245,23 @@ def heat_phi(alpha: float, x, y):
 
 def a_tilde(s: float, t: float, x: float, y: float) -> float:
     """int_0^inf exp(z(t-s)) Ai(x+z) Ai(y+z) dz for 0 < t-s <= 2."""
+    _check_domain(s, t, x, y)
     gap = t - s
     if not gap > 0:
         raise DomainError("a_tilde needs t > s")
     if gap > A_TILDE_MAX_GAP:
         raise DomainError(f"a_tilde supports t - s <= {A_TILDE_MAX_GAP}")
-    _check_coords(x, y)
     return float(_gated(partial(positive_block, delta=-gap), s, t, x, y,
                         "a_tilde")[0, 0])
 
 
-def _check_coords(x: float, y: float):
-    if x < COORD_MIN or y < COORD_MIN:
-        raise DomainError(f"coordinates below {COORD_MIN} are unsupported")
+def _check_domain(s: float, t: float, x: float, y: float):
+    """Finite times s, t and lowest coordinates x, y >= COORD_MIN (NaN
+    fails the comparison)."""
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise DomainError("times s and t must be finite")
+    if not (x >= COORD_MIN and y >= COORD_MIN):
+        raise DomainError(f"coordinates must be numbers >= {COORD_MIN}")
 
 
 def kernel_grid(s: float, t: float, xs, ys) -> np.ndarray:
@@ -264,7 +269,7 @@ def kernel_grid(s: float, t: float, xs, ys) -> np.ndarray:
     block on one leg per axis, on the route of lo = min xs + min ys."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    _check_coords(xs.min(), ys.min())
+    _check_domain(s, t, xs.min(), ys.min())
     integral, heat_gap = _route(s, t, xs.min() + ys.min())
     # on the decomposition route the doubling gate judges a_tilde on its
     # own scale; heat_phi is exact and subtracted after it
@@ -275,17 +280,3 @@ def kernel_grid(s: float, t: float, xs, ys) -> np.ndarray:
 def extended_airy_kernel(s: float, t: float, x: float, y: float) -> float:
     """Two-time Airy kernel A_{s,t}(x, y) for coordinates >= -20."""
     return float(kernel_grid(s, t, x, y)[0, 0])
-
-
-def correlation_R(points) -> float:
-    """k-point correlation det[A(z_i, z_j)] in input order, k <= 12."""
-    pts = [p if isinstance(p, SpaceTimePoint) else SpaceTimePoint(*p)
-           for p in points]
-    k = len(pts)
-    if not 1 <= k <= 12:
-        raise DomainError("correlation_R supports 1..12 points")
-    mat = np.empty((k, k))
-    for i, pi in enumerate(pts):
-        for j, pj in enumerate(pts):
-            mat[i, j] = extended_airy_kernel(pi.t, pj.t, pi.x, pj.x)
-    return float(np.linalg.det(mat))

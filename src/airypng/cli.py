@@ -122,6 +122,8 @@ def cmd_kernel(args, argv) -> int:
     inv = _invocation(argv)
     if args.okounkov_check:
         alpha = args.alpha
+        if not 0.0 < alpha < math.inf:
+            raise DomainError("--alpha must be positive and finite")
         rows = []
         worst = 0.0
         for x in (-2.0, -0.5, 0.0, 1.0, 2.0):
@@ -292,10 +294,8 @@ def _load_plan(args) -> harness.PngExperimentPlan:
     cfg = {}
     if args.config:
         cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    overrides = {
-        "q": args.q, "N": args.size, "gamma": args.gamma,
-        "replicas": args.replicas, "master_seed": args.master_seed_opt,
-    }
+    overrides = {"q": args.q, "N": args.size, "gamma": args.gamma,
+                 "replicas": args.replicas}
     for key, val in overrides.items():
         if val is not None:
             cfg[key] = val
@@ -441,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--size", type=int, help="N")
     v.add_argument("--gamma", type=float)
     v.add_argument("--replicas", type=int)
-    v.add_argument("--master-seed-opt", type=int, dest="master_seed_opt")
     v.add_argument("--no-timing", action="store_true",
                    help="omit wall-clock timing for byte-stable reports")
     v.add_argument("--t1", type=float, default=0.0)

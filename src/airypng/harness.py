@@ -50,16 +50,23 @@ class PngExperimentPlan:
                            tuple((float(a), float(b)) for a, b in self.windows))
         if not 0.0 < self.q < 1.0:
             raise DomainError("q must lie in (0, 1)")
+        if self.N < 1:
+            raise DomainError("N must be >= 1")
         if not 0.0 < self.gamma < 2.0 / 3.0:
             raise DomainError("gamma must lie in (0, 2/3)")
+        if not math.isfinite(self.tau1):
+            raise DomainError("tau1 must be finite")
         if len(self.s_gaps) != len(self.windows) or not self.s_gaps:
             raise DomainError("need one window per time gap")
-        if any(s <= 0 for s in self.s_gaps):
+        if not all(s > 0 for s in self.s_gaps):
             raise DomainError("time gaps must be positive")
-        if any(a >= b for a, b in self.windows):
+        if not all(a < b for a, b in self.windows):
             raise DomainError("windows need a < b")
         if self.replicas < 10_000:
             raise DomainError("reported statistics need >= 10^4 replicas")
+        if self.j1_override is None and self.pilot_replicas < 1:
+            raise DomainError("the pilot run that picks j1 needs >= 1 "
+                              "replica")
 
 
 @dataclass
@@ -292,17 +299,20 @@ def run_airy_brownian_experiment(t1: float, p1: float, epsilons,
                                  s_gaps, windows, n: int = 160) -> dict:
     """Conditional window probabilities against the Gaussian product, per
     epsilon, with the monotone-trend flag (20% slack per step)."""
+    epsilons = [float(eps) for eps in epsilons]
     s_gaps = [float(s) for s in s_gaps]
     windows = [(float(a), float(b)) for a, b in windows]
+    if len(s_gaps) != len(windows):
+        raise DomainError("need one window per time gap")
+    offsets = [(s, a, b) for s, (a, b) in zip(s_gaps, windows)]
+    # the estimates first: they validate the gaps and windows that the
+    # Gaussian target divides by
+    estimates = [fredholm.conditional_window_probability(
+        t1, p1, offsets, eps, n=n) for eps in epsilons]
     target = gaussian_window_integral(s_gaps, windows)
-    rows = []
-    for eps in epsilons:
-        offsets = [(s, a, b) for s, (a, b) in zip(s_gaps, windows)]
-        est = fredholm.conditional_window_probability(
-            t1, p1, offsets, float(eps), n=n)
-        rows.append(AiryTrendRow(epsilon=float(eps), estimate=est,
-                                 gaussian_target=target,
-                                 abs_error=abs(est - target)))
+    rows = [AiryTrendRow(epsilon=eps, estimate=est, gaussian_target=target,
+                         abs_error=abs(est - target))
+            for eps, est in zip(epsilons, estimates)]
     ordered = sorted(rows, key=lambda r: -r.epsilon)
     trend_ok = all(later.abs_error <= 1.2 * earlier.abs_error
                    for earlier, later in zip(ordered, ordered[1:]))

@@ -69,6 +69,8 @@ class PngKernelParams:
 
 def default_params(alpha: float, N: int) -> PngKernelParams:
     """Radii 1 * (1 +- 0.8 N^{-1/3}), clamped into (alpha, 1/alpha)."""
+    if N < 1:
+        raise DomainError("N must be >= 1")
     delta = 0.8 * N ** (-1.0 / 3.0)
     lo, hi = alpha, 1.0 / alpha
     r2 = min(1.0 + delta, hi - 0.08 * (hi - lo))
@@ -218,18 +220,13 @@ def _phi_coefficients(alpha, k, n):
     return out
 
 
-def _phi_values_once(params, u, v, deltas, n):
-    return _phi_coefficients(params.alpha, v - u, n)[
-        np.asarray(deltas) % n].real
-
-
 def phi_values(params: PngKernelParams, u: int, v: int, deltas) -> np.ndarray:
     """phi_{2u,2v} as a function of y - x (zero unless u < v), point count
     doubled until two evaluations agree within 1e-12."""
     deltas = np.atleast_1d(np.asarray(deltas, dtype=int))
     if u >= v:
         return np.zeros(deltas.shape)
-    return settled((_phi_values_once(params, u, v, deltas, n)
+    return settled((_phi_coefficients(params.alpha, v - u, n)[deltas % n].real
                     for n in _doublings(_CONTOUR_POINTS)),
                    1e-12, "phi point-doubling")
 

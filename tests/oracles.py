@@ -19,10 +19,9 @@ import mpmath as mp
 import numpy as np
 import scipy.special as sp
 
-from airypng.airy_kernel import Leg
+from airypng.airy_kernel import Leg, kernel_block
 from airypng.errors import DomainError
-from airypng.fredholm import (TimeGrid, _det_i_minus, _kernel_block,
-                              _operator_from_legs)
+from airypng.fredholm import TimeGrid, _det_i_minus, _operator_from_legs
 from airypng.special import panel_rule
 
 
@@ -305,7 +304,7 @@ def _rhs_correlation_integral(grid: TimeGrid, boxes,
     mats = np.empty((idx.shape[1], k, k))
     for i in range(k):
         for j in range(k):
-            mats[:, i, j] = _kernel_block(legs[i], legs[j])[idx[i], idx[j]]
+            mats[:, i, j] = kernel_block(legs[i], legs[j])[idx[i], idx[j]]
     weights = slots[0][2]
     for _ti, _nodes, w in slots[1:]:
         weights = np.multiply.outer(weights, w)

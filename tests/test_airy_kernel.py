@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from airypng.airy_kernel import (extended_airy_kernel, a_tilde, heat_phi,
-                                 correlation_R, SpaceTimePoint, kernel_grid,
-                                 Leg, mirrored_block, positive_block,
+                                 kernel_grid, Leg, mirrored_block,
+                                 positive_block,
                                  _gap_key, _negative_grid, _positive_grid,
                                  _route)
 from airypng.special import airy_ai, airy_ai_prime, airy_ai_aip_vec
@@ -76,6 +76,10 @@ def test_a_tilde_domain():
         a_tilde(0.0, 2.5, 0.0, 0.0)
     with pytest.raises(DomainError):
         a_tilde(1.0, 0.5, 0.0, 0.0)
+    for s, t, x, y in ((0.0, 0.5, math.nan, 0.0), (0.0, 0.5, 0.0, math.nan),
+                       (0.0, math.nan, 0.0, 0.0), (-math.inf, 0.5, 0.0, 0.0)):
+        with pytest.raises(DomainError):
+            a_tilde(s, t, x, y)
 
 
 def test_decomposition_consistency():
@@ -100,6 +104,10 @@ def test_time_order_matters():
 def test_coordinate_domain():
     with pytest.raises(DomainError):
         extended_airy_kernel(0.0, 0.0, -25.0, 0.0)
+    for s, t, x, y in ((0.0, 0.0, math.nan, 0.0), (0.0, 3.0, 0.0, math.nan),
+                       (math.nan, 0.0, 0.0, 0.0), (0.0, math.inf, 0.0, 0.0)):
+        with pytest.raises(DomainError):
+            extended_airy_kernel(s, t, x, y)
 
 
 # a 10 x 6 grid whose block route is the one of lo = -11.5
@@ -130,6 +138,12 @@ def test_kernel_grid_route_split_is_real():
 def test_kernel_grid_coordinate_domain():
     with pytest.raises(DomainError):
         kernel_grid(0.0, 0.0, [0.0, -21.0], [0.0])
+    for s, t, xs, ys in ((0.0, 0.5, [math.nan], [0.0]),
+                         (0.0, 0.0, [0.0], [1.0, math.nan]),
+                         (math.nan, 0.5, [0.0], [0.0]),
+                         (0.0, -math.inf, [0.0], [0.0])):
+        with pytest.raises(DomainError):
+            kernel_grid(s, t, xs, ys)
 
 
 def test_exponential_diagonal_decay():
@@ -237,43 +251,39 @@ def test_grid_values_keep_temporaries_bounded():
 
 
 # ---------------------------------------------------------------------------
-# Correlation functions.
+# Determinantal structure: one-point densities K(x, x) >= 0 and two-point
+# correlations K(x, x) K(y, y) - K(x, y) K(y, x), each on one block.
 # ---------------------------------------------------------------------------
 
 def test_single_point_density_nonnegative():
-    for x in (-2.0, 0.0, 1.5):
-        assert correlation_R([SpaceTimePoint(0.0, x)]) >= 0.0
+    xs = [-2.0, 0.0, 1.5]
+    assert np.all(np.diag(kernel_grid(0.0, 0.0, xs, xs)) >= 0.0)
 
 
 def test_duplicated_point_vanishes():
-    val = correlation_R([(0.0, 1.0), (0.0, 1.0)])
-    assert abs(val) < 1e-10
+    block = kernel_grid(0.0, 0.0, [1.0, 1.0], [1.0, 1.0])
+    assert abs(np.linalg.det(block)) < 1e-10
 
 
 def test_negative_correlation_equal_time():
+    # the equal-time block is symmetric, so a two-point correlation is at
+    # most the product of the one-point densities
     xs = np.linspace(-2.0, 2.0, 5)
-    for x in xs:
-        for y in xs:
-            if abs(x - y) < 1e-9:
-                continue
-            r2 = correlation_R([(0.0, float(x)), (0.0, float(y))])
-            r1a = correlation_R([(0.0, float(x))])
-            r1b = correlation_R([(0.0, float(y))])
-            assert r2 <= r1a * r1b + 1e-12
+    block = kernel_grid(0.0, 0.0, xs, xs)
+    assert np.max(np.abs(block - block.T)) <= 1e-12
+    density = np.diag(block)
+    r2 = np.outer(density, density) - block * block.T
+    assert np.all(r2 <= np.outer(density, density) + 1e-12)
 
 
 def test_permutation_invariance():
-    pts = [(0.0, -1.0), (0.3, 0.5), (0.9, 1.5)]
-    base = correlation_R(pts)
+    # the route comes from the lowest x + y wherever it sits in the grid
+    # (here the mirrored integral of lo = -12 at t - s = 1.9), so permuting
+    # the coordinates permutes the block
+    xs = np.array([-1.0, 0.5, 1.5, -6.0])
+    base = kernel_grid(0.0, 1.9, xs, xs)
     rng = np.random.default_rng(3)
     for _ in range(4):
-        perm = rng.permutation(3)
-        assert correlation_R([pts[i] for i in perm]) == pytest.approx(
-            base, abs=1e-12)
-
-
-def test_point_count_domain():
-    with pytest.raises(DomainError):
-        correlation_R([])
-    with pytest.raises(DomainError):
-        correlation_R([(0.0, 0.0)] * 13)
+        perm = rng.permutation(4)
+        got = kernel_grid(0.0, 1.9, xs[perm], xs[perm])
+        assert np.max(np.abs(got - base[np.ix_(perm, perm)])) <= 1e-12

@@ -52,6 +52,14 @@ def test_unknown_flag_usage_error(tmp_path):
     ["tw2", "--s-grid", "nan:1:0.1"],
     ["gap", "--times", "0,,1", "--thresholds", "0,0"],
     ["conditional", "--p1", "-1", "--epsilons", "0.2", "--windows", "1"],
+    ["kernel", "--s", "nan", "--x-grid", "0:1:0.5"],
+    ["conditional", "--p1", "nan", "--epsilons", "0.1"],
+    ["conditional", "--p1", "-1", "--epsilons", "0.1", "--s-gaps", "0"],
+    ["conditional", "--p1", "-1", "--epsilons", "0.1", "--s-gaps", "-1"],
+    ["conditional", "--p1", "-1", "--epsilons", "0.1", "--s-gaps", "1,1"],
+    ["verify", "png-brownian", "--size", "0"],
+    ["gap", "--times", "0", "--thresholds", "0", "--cutoff", "nan"],
+    ["kernel", "--okounkov-check", "--alpha", "nan"],
 ])
 def test_malformed_grid_list_and_window_are_usage_errors(tmp_path, args):
     res = run_cli(args, tmp_path)

@@ -7,12 +7,13 @@ import pytest
 
 from airypng import airy_kernel, fredholm
 from airypng.airy_kernel import (Leg, extended_airy_kernel, kernel_block,
-                                 _gap_key, _negative_grid, _positive_grid)
-from airypng.fredholm import (TimeGrid, build_operator, gap_probability,
+                                 positive_block, _gap_key, _negative_grid,
+                                 _positive_grid)
+from airypng.fredholm import (TimeGrid, gap_probability,
                               tw2_cdf, tw2_pdf, conditional_window_probability,
                               increment_variance, long_range_covariance,
                               _tw2_moments,
-                              _gap_density, _density_value, _kernel_block,
+                              _gap_density, _density_value, _grid_legs,
                               _leg_rule, _operator_from_legs, _certified,
                               DEFAULT_CUTOFF)
 from airypng.blas import one_blas_thread
@@ -29,6 +30,11 @@ def test_time_grid_validation():
         TimeGrid((0.0,), (0.0, 1.0))
     with pytest.raises(DomainError):
         TimeGrid(tuple(range(9)), tuple(range(9)))
+    for times, thresholds in (((math.nan,), (0.0,)), ((0.0,), (math.nan,)),
+                              ((0.0, math.inf), (0.0, 0.0)),
+                              ((0.0,), (-math.inf,))):
+        with pytest.raises(DomainError):
+            TimeGrid(times, thresholds)
 
 
 def test_empty_gap_event():
@@ -187,6 +193,15 @@ def test_threshold_domain():
         gap_probability(TimeGrid((0.0,), (-9.0,)))
     with pytest.raises(DomainError):
         tw2_pdf(-8.5)
+    for value in (tw2_cdf, tw2_pdf):
+        for s in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                value(s)
+    for times in ((0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(DomainError):
+            gap_probability(TimeGrid(times, (0.0, 0.0)))
+    with pytest.raises(DomainError):
+        gap_probability(TimeGrid((0.0,), (0.0,)), L=math.nan)
 
 
 def test_refinement_failure_raises_with_estimates():
@@ -261,10 +276,10 @@ def test_unsettled_ladder_tries_pairs_at_six_nodes_per_panel():
 
 
 def test_operator_entry_structure():
-    grid = TimeGrid((0.0,), (0.0,))
-    op = build_operator(grid, n=24, L=10.0)
-    nodes = op.grid[0]
-    weights = op.weights[0]
+    legs = _grid_legs(TimeGrid((0.0,), (0.0,)), 24, 10.0, 48)
+    op = _operator_from_legs(legs)
+    nodes = legs[0].nodes
+    weights = legs[0].weights
     i, j = 3, 17
     want = math.sqrt(weights[i]) * extended_airy_kernel(
         0.0, 0.0, float(nodes[i]), float(nodes[j])) * math.sqrt(weights[j])
@@ -276,22 +291,25 @@ def test_operator_entry_structure():
              # entries with x + y above about -10.6 take the decomposition
              ((0.0, 1.9), (-6.0, -6.0))]
     for times, thresholds in cases:
-        op = build_operator(TimeGrid(times, thresholds), n=24, L=10.0)
-        roots = [np.sqrt(w) for w in op.weights]
-        offs = np.cumsum([0] + [len(nodes) for nodes in op.grid])
+        legs = _grid_legs(TimeGrid(times, thresholds), 24, 10.0, 48)
+        op = _operator_from_legs(legs)
+        grid = [leg.nodes for leg in legs]
+        roots = [np.sqrt(leg.weights) for leg in legs]
+        offs = np.cumsum([0] + [len(nodes) for nodes in grid])
         for a, b in ((0, 1), (1, 0)):
             block = op.block_matrix[offs[a]:offs[a + 1],
                                     offs[b]:offs[b + 1]]
             want = np.array([[extended_airy_kernel(times[a], times[b],
                                                    float(x), float(y))
-                              for y in op.grid[b]] for x in op.grid[a]])
+                              for y in grid[b]] for x in grid[a]])
             want *= roots[a][:, None] * roots[b][None, :]
             assert np.max(np.abs(block - want)) <= 1e-11, (times, a, b)
 
 
 def test_operator_spectral_radius():
     for thr in (-6.0, -3.0, 0.0):
-        op = build_operator(TimeGrid((0.0,), (thr,)), n=96, L=10.0)
+        op = _operator_from_legs(
+            _grid_legs(TimeGrid((0.0,), (thr,)), 96, 10.0, 48))
         assert np.max(np.abs(np.linalg.eigvals(op.block_matrix))) < 1.0
 
 
@@ -310,14 +328,15 @@ def test_leg_rule_has_eight_panels_wherever_the_leg_starts():
 @pytest.mark.parametrize("threshold", [-6.0, -2.0, 0.0, 3.0])
 def test_equal_time_block_matches_z_quadrature(threshold):
     # two legs share one node set, so off-diagonal blocks meet x == y too;
-    # at equal times the evaluator takes the z-quadrature route
+    # the closed form of kernel_block against the z-quadrature route that
+    # kernel_grid takes at equal times
     rule = _leg_rule(threshold, threshold + DEFAULT_CUTOFF, 96)
     shifted = _leg_rule(threshold + 0.3, threshold + 0.3 + DEFAULT_CUTOFF, 64)
     legs = [Leg(0.0, *rule), Leg(0.0, *rule), Leg(0.0, *shifted)]
     for leg_i in legs:
         for leg_j in legs:
-            block = _kernel_block(leg_i, leg_j)
-            quad = kernel_block(leg_i, leg_j)
+            block = kernel_block(leg_i, leg_j)
+            quad = positive_block(leg_i, leg_j, 0.0)
             assert np.max(np.abs(block - quad)) <= 1e-10
 
 
@@ -337,7 +356,8 @@ def _count_airy_calls(monkeypatch):
 
 def test_single_time_operator_evaluates_airy_at_its_nodes_only(monkeypatch):
     shapes = _count_airy_calls(monkeypatch)
-    op = build_operator(TimeGrid((0.0,), (-1.0,)), n=192)
+    op = _operator_from_legs(_grid_legs(TimeGrid((0.0,), (-1.0,)), 192,
+                                        DEFAULT_CUTOFF, 48))
     assert shapes == [(op.block_matrix.shape[0],)]
 
 
@@ -356,17 +376,19 @@ def test_two_time_operator_makes_one_grid_call_per_leg(monkeypatch, times):
         return real(x, derivative=derivative)
 
     monkeypatch.setattr(airy_kernel, "airy_ai_aip_vec", recording)
-    op = build_operator(TimeGrid(times, (-1.0, 0.5)), n=96)
+    legs = _grid_legs(TimeGrid(times, (-1.0, 0.5)), 96, DEFAULT_CUTOFF, 48)
+    _operator_from_legs(legs)
+    grid = [leg.nodes for leg in legs]
     offsets = [_positive_grid(48)[0]]
     if times[1] - times[0] > 2.0:
         offsets.append(-_negative_grid(_gap_key(3.0), 48)[0])
-    nodes_calls = [((len(nodes),), True) for nodes in op.grid]
+    nodes_calls = [((len(nodes),), True) for nodes in grid]
     grid_calls = [((int(np.sum(nodes[:, None] + g <= 20.0)),), False)
-                  for nodes in op.grid for g in offsets]
+                  for nodes in grid for g in offsets]
     assert sorted(calls) == sorted(nodes_calls + grid_calls)
     # an uncut leg evaluates its nodes and every point of its grids
     full = sum(len(nodes) * (1 + sum(len(g) for g in offsets))
-               for nodes in op.grid)
+               for nodes in grid)
     assert sum(shape[0] for shape, _ in calls) < full
 
 
@@ -404,6 +426,13 @@ def test_conditional_parameter_domain():
         conditional_window_probability(0.0, -1.0, [(1.0, -1.0, 1.0)], 0.6)
     with pytest.raises(DomainError):
         conditional_window_probability(0.0, -1.0, [], 0.1)
+    for p1, offsets in ((math.nan, [(1.0, -1.0, 1.0)]),
+                        (-1.0, [(1.0, math.nan, 1.0)]),
+                        (-1.0, [(1.0, -1.0, math.nan)]),
+                        (-1.0, [(0.0, -1.0, 1.0)]),
+                        (-1.0, [(1.0, 1.0, -1.0)])):
+        with pytest.raises(DomainError):
+            conditional_window_probability(0.0, p1, offsets, 0.1)
 
 
 def test_conditional_rejects_vanishing_density():

@@ -28,6 +28,13 @@ def test_plan_validation():
         PngExperimentPlan(**{**SMALL_PLAN, "windows": ((1.0, -1.0),)})
     with pytest.raises(DomainError):
         PngExperimentPlan(**{**SMALL_PLAN, "s_gaps": ()})
+    for bad in ({"N": 0}, {"N": -5}, {"tau1": math.nan}, {"tau1": math.inf},
+                {"pilot_replicas": 0}, {"s_gaps": (math.nan,)},
+                {"windows": ((math.nan, 1.0),)}):
+        with pytest.raises(DomainError):
+            PngExperimentPlan(**{**SMALL_PLAN, **bad})
+    # a fixed j1 runs no pilot
+    PngExperimentPlan(**{**SMALL_PLAN, "pilot_replicas": 0, "j1_override": 5})
 
 
 def test_gaussian_window_integral_single():

@@ -25,6 +25,9 @@ def test_params_validation():
         PngKernelParams(alpha=0.5, N=4, r1=0.4, r2=1.1)
     with pytest.raises(DomainError):
         PngKernelParams(alpha=0.5, N=0, r1=0.8, r2=1.2)
+    for N in (0, -5):
+        with pytest.raises(DomainError):
+            default_params(0.5, N)
 
 
 def test_default_radii_inside_annulus():

@@ -6,11 +6,15 @@ import airypng
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# public names folded into the entry they wrapped, and that entry
+# removed public names, each with the public entry that does its work
 REMOVED = {"gauss_legendre": "panel_rule", "QuadratureRule": "panel_rule",
            "LatticePoint": "ktilde_matrix", "k_tilde": "ktilde_matrix",
            "k_n": "kn_block_matrix", "phi_discrete": "phi_values",
-           "last_passage_G": "last_passage_table"}
+           "last_passage_G": "last_passage_table",
+           "build_operator": "gap_probability",
+           "DiscretizedOperator": "gap_probability",
+           "correlation_R": "extended_airy_kernel",
+           "SpaceTimePoint": "extended_airy_kernel"}
 
 
 def _library_rows():
