@@ -283,10 +283,9 @@ def conditional_window_probability(t1: float, p1: float, offsets,
 # ---------------------------------------------------------------------------
 
 # The integrand P[A(t)<=x, A(0)<=y] - F(x)F(y) is below 2e-10 once either
-# coordinate leaves this window, so the [-8, 8]^2 contract domain can be
-# clipped to it.
-_COV_X_LO = -6.9
-_COV_X_HI = 5.3
+# coordinate leaves [-6.9, 5.3], so the [-8, 8]^2 contract domain can be
+# clipped to it; these are its x-panels.
+_COV_X_EDGES = np.array([-6.9, -4.0, -1.5, 1.0, 5.3])
 _COV_NPP = 32
 
 
@@ -300,14 +299,16 @@ def _covariance_once(t: float, n: int, L: float, per: int) -> float:
     determinants agree to machine precision under threshold swap), so only
     u = x - y >= 0 is integrated and doubled.
 
-    The nodes are visited threshold-major: the inner x-panels are the same
-    in most rows, so an x value recurs bit for bit, and each distinct x
-    builds its time-t leg once, with E = I - D_tt, F(x) = det E and E^-1.
-    Every (u, x) node on it then builds only its time-0 leg at y = x - u,
-    A = I - D_00, and takes the joint determinant as the Schur complement
-    det(A - D_0t E^-1 D_t0) F(x), so every LU is of one leg's order.  E is
-    worst conditioned at the lowest x (cond 7.8e5 at x = -6.9, n = 96,
-    where F(x) = 8.8e-13), so the identity costs under 1e-21 absolute.
+    Every u-row integrates x over the same panels [-6.9, -4, -1.5, 1, 5.3]
+    and skips the nodes whose y = x - u falls below -6.9, where the
+    integrand is below 2e-10.  So each level builds exactly 4 ``per``
+    time-t legs, one per x node, visited x-major: each builds E = I - D_tt,
+    F(x) = det E and E^-1 once.  Every (u, x) node on it then builds only
+    its time-0 leg at y = x - u, A = I - D_00, and takes the joint
+    determinant as the Schur complement det(A - D_0t E^-1 D_t0) F(x), so
+    every LU is of one leg's order.  E is worst conditioned at the lowest x
+    (cond 7.8e5 at x = -6.9, n = 96, where F(x) = 8.8e-13), so the identity
+    costs under 1e-21 absolute.
     """
     width = max(math.sqrt(2.0 * t), 0.05)
     u_edges = [0.0]
@@ -315,36 +316,24 @@ def _covariance_once(t: float, n: int, L: float, per: int) -> float:
         e = mult * width
         if e < 6.0:
             u_edges.append(e)
-    u_max = _COV_X_HI - _COV_X_LO
+    u_max = _COV_X_EDGES[-1] - _COV_X_EDGES[0]
     u_edges.extend([7.0, u_max] if u_max > 7.0 + 1e-9 else [u_max])
     u_nodes, u_weights = panel_rule(np.array(u_edges), per)
-    rows, visits = [], {}
-    for u, wu in zip(u_nodes, u_weights):
-        lo = max(_COV_X_LO, _COV_X_LO + u)
-        hi = min(_COV_X_HI, _COV_X_HI + u)
-        if hi - lo <= 1e-9:
-            continue
-        x_edges = np.unique(np.clip([lo, -4.0, -1.5, 1.0, hi], lo, hi))
-        x_nodes, x_weights = panel_rule(x_edges, per)
-        row = np.empty(len(x_nodes))
-        rows.append((wu, x_weights, row))
-        for idx, x in enumerate(x_nodes):
-            visits.setdefault(float(x), []).append((row, idx, float(x - u)))
-    for x, nodes in visits.items():
+    x_nodes, x_weights = panel_rule(_COV_X_EDGES, per)
+    integrand = np.zeros((len(x_nodes), len(u_nodes)))
+    for row, x in zip(integrand, x_nodes):
         legt = Leg(t, *_leg_rule(x, x + L, n), npp=_COV_NPP)
         D_tt = _scaled_block(legt, legt)
         F_x = _det_i_minus(D_tt)
         E_inv = np.linalg.inv(np.eye(len(D_tt)) - D_tt)
-        for row, idx, y in nodes:
+        for idx in np.flatnonzero(x - u_nodes >= _COV_X_EDGES[0]):
+            y = x - u_nodes[idx]
             leg0 = Leg(0.0, *_leg_rule(y, y + L, n), npp=_COV_NPP)
             D_00 = _scaled_block(leg0, leg0)
             schur = D_00 + _scaled_block(leg0, legt) @ (
                 E_inv @ _scaled_block(legt, leg0))
             row[idx] = F_x * (_det_i_minus(schur) - _det_i_minus(D_00))
-    total = 0.0
-    for wu, x_weights, row in rows:
-        total += wu * float(np.dot(x_weights, row))
-    return 2.0 * total
+    return 2.0 * float(u_weights @ (x_weights @ integrand))
 
 
 @lru_cache(maxsize=None)

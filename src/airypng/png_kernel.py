@@ -188,9 +188,17 @@ def _real_factors(params, rows, cols, tol):
     imag = level - real  # bounds Im K and the dropped Im F Im H^T alike
     if imag > 1e-10:
         raise NumericsError(f"contour integral imaginary residual {imag:.3e}")
-    return (np.concatenate([np.lib.stride_tricks.sliding_window_view(
-        run, real.width)[st] for run, st in lines])
-        for lines in (real.f, real.h))
+    return (np.concatenate([_windows(run, st, real.width)
+                            for run, st in lines])
+            for lines in (real.f, real.h))
+
+
+def _windows(run, st, width):
+    """The length-width windows of run starting at st: a basic slice of the
+    sliding view, not a copy, where st is a contiguous range."""
+    view = np.lib.stride_tricks.sliding_window_view(run, width)
+    return (view[st[0]:st[0] + len(st)] if np.all(np.diff(st) == 1)
+            else view[st])
 
 
 def _ktilde_lines(params, rows, cols, tol):

@@ -13,6 +13,7 @@ determinantal structure that operator must carry.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations, product
 
 import mpmath as mp
@@ -172,6 +173,50 @@ def geometric_pmf(q: float, m) -> np.ndarray:
 def gaussian_window_mass(s: float, a: float, b: float) -> float:
     half = 0.5 / math.sqrt(s)
     return 0.5 * (math.erf(b * half) - math.erf(a * half))
+
+
+def _bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination: every division is exact."""
+    A = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(A) - 1):
+        if A[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(A)) if A[i][k]), None)
+            if swap is None:
+                return 0
+            A[k], A[swap] = A[swap], A[k]
+            sign = -sign
+        for i in range(k + 1, len(A)):
+            for j in range(k + 1, len(A)):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[-1][-1] if A else 1
+
+
+def toeplitz_cdf_exact(q, N: int, u: int, M: int) -> Fraction:
+    """P[top line at time 2u <= M] for N layers, exactly.  By RSK it is the
+    last-passage time G(m, n), m = N + u, n = N - u, with geometric(q)
+    weights, and by Gessel's identity P[G(m, n) <= M] = (1-q)^(mn) D_M,
+    D_M the M x M Toeplitz determinant of the symbol
+    (1 + a z)^m (1 + a/z)^n, a = sqrt(q).  a must be rational: then
+    r^(m+n) times the symbol, a = p/r, has integer coefficients
+    sum_i C(m, i) C(n, i - k) p^(2i-k) r^(m+n-2i+k) at z^k, and D_M is a
+    Bareiss determinant over the integers."""
+    q = Fraction(q)
+    p, r = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if Fraction(p, r) ** 2 != q:
+        raise DomainError("sqrt(q) must be rational")
+    m, n = N + u, N - u
+
+    def coefficient(k):
+        return sum(math.comb(m, i) * math.comb(n, i - k) * p ** (2 * i - k)
+                   * r ** (m + n - 2 * i + k)
+                   for i in range(max(0, k), min(m, n + k) + 1))
+
+    det = _bareiss_det([[coefficient(j - i) for j in range(M)]
+                        for i in range(M)])
+    return (1 - q) ** (m * n) * Fraction(det, r ** ((m + n) * M))
 
 
 def ktilde_block_oracle(params, u: int, v: int, xs, ys, n: int) -> np.ndarray:

@@ -11,7 +11,8 @@ the bound is checked against the change of the complex products and the
 value against the block oracle two doublings finer.
 ``joint_gap_probability`` returns the determinant on the first window whose
 tail bound meets 5e-9; it is compared with the determinant on a window four
-times wider.
+times wider.  ``_covariance`` returns the 6-node level of its 4/6 pair; it
+is compared with the same integral at 10 nodes per panel.
 """
 
 import numpy as np
@@ -21,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 from airypng.airy_kernel import Leg, _route, heat_phi, kernel_grid
 from airypng.errors import settled
 from airypng.fredholm import (TimeGrid, gap_probability, _gap_density,
-                              _density_value, DEFAULT_NODES, DEFAULT_CUTOFF)
+                              _density_value, _covariance, _covariance_once,
+                              DEFAULT_NODES, DEFAULT_CUTOFF)
 from airypng.png_kernel import (default_params, ktilde_matrix, _doublings,
                                 _factors, _norm, _CONTOUR_POINTS, _gap_det,
                                 _window, joint_gap_probability,
@@ -83,6 +85,16 @@ def test_kernel_grid_matches_finer_reference(s, t):
         reference -= heat_phi(heat_gap, xs[:, None], ys)
     error = np.abs(kernel_grid(s, t, xs, ys) - reference)
     assert np.all(error <= 1e-10 * np.maximum(1.0, np.abs(reference)))
+
+
+@pytest.mark.parametrize("t", [0.05, 3.0])
+def test_covariance_matches_finer_reference(t):
+    # the returned 6-node level against 10 nodes per panel, within the
+    # change from the 4-node level that the refinement gate reads
+    returned = _covariance(t, 96, DEFAULT_CUTOFF)
+    delta = abs(returned - _covariance_once(t, 96, DEFAULT_CUTOFF, 4))
+    reference = _covariance_once(t, 96, DEFAULT_CUTOFF, 10)
+    assert abs(returned - reference) <= delta + 1e-14
 
 
 @settings(max_examples=10, deadline=None)

@@ -13,7 +13,8 @@ from airypng.fredholm import (TimeGrid, gap_probability,
                               tw2_cdf, tw2_pdf, conditional_window_probability,
                               increment_variance, long_range_covariance,
                               _tw2_moments,
-                              _gap_density, _density_value, _grid_legs,
+                              _gap_density, _density_value, _gap_value,
+                              _grid_legs,
                               _leg_rule, _operator_from_legs, _certified,
                               DEFAULT_CUTOFF)
 from airypng.blas import one_blas_thread
@@ -502,15 +503,15 @@ def test_moment_identity_overlap_rejected():
         moment_identity_check(grid, [(0, (0.0, 0.5), 1), (0, (0.4, 0.9), 1)])
 
 
-@pytest.mark.parametrize("t, legs, pinned", [
-    (0.1, 92, 0.7225588144672849),      # heat-kernel decomposition
-    (3.0, None, 0.08258855820517169),   # mirrored integral
-])
-def test_covariance_once_pinned_and_threshold_major(monkeypatch, t, legs,
-                                                    pinned):
+@pytest.mark.parametrize("t, pinned", [
+    (0.1, 0.7225565702609089),      # heat-kernel decomposition
+    (3.0, 0.08258849150595589),     # mirrored integral
+], ids=["t0.1", "t3.0"])
+def test_covariance_once_pinned_and_threshold_major(monkeypatch, t, pinned):
     # values of the per-node joint operator at 4 nodes per panel; the
-    # Schur complement moves them by round-off only, and each distinct x
-    # threshold (92 of the 260 nodes at t = 0.1) builds one time-t leg
+    # Schur complement moves them by round-off only, and every u-row shares
+    # the fixed x-panels, so the level builds one time-t leg per x node:
+    # 4 panels times 4 nodes
     built = []
 
     def counting_leg(time, *args, **kwargs):
@@ -520,8 +521,23 @@ def test_covariance_once_pinned_and_threshold_major(monkeypatch, t, legs,
     monkeypatch.setattr(fredholm, "Leg", counting_leg)
     value = fredholm._covariance_once(t, 96, DEFAULT_CUTOFF, 4)
     assert abs(value - pinned) <= 1e-13
-    if legs is not None:
-        assert built.count(t) == legs
+    assert built.count(t) == 16
+
+
+@pytest.mark.parametrize("t", [0.1, 3.0])
+def test_covariance_integrand_negligible_past_its_window(t):
+    # the covariance integrates x and y = x - u over [-6.9, 5.3] and skips
+    # the nodes below it: just past either edge the integrand
+    # P[A(0) <= y, A(t) <= x] - F(x) F(y) is below 2e-10, on the same
+    # discretization the covariance uses
+    def gap(times, thresholds):
+        return _gap_value(TimeGrid(times, thresholds), 96, DEFAULT_CUTOFF, 32)
+
+    for y, x in [(-7.0, -6.9), (-7.0, 0.0), (-7.0, 5.3),
+                 (-6.9, 5.4), (0.0, 5.4), (5.3, 5.4)]:
+        integrand = (gap((0.0, t), (y, x))
+                     - gap((0.0,), (x,)) * gap((0.0,), (y,)))
+        assert abs(integrand) < 2e-10, (y, x)
 
 
 @pytest.mark.slow

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from airypng.png_sim import (d_scaling, growth_speed, evolve_batch_heights,
                              replica_generator)
 from airypng.errors import DomainError, NumericsError
 
-from oracles import kn_block_oracle
+from oracles import kn_block_oracle, toeplitz_cdf_exact
 
 
 def test_params_validation():
@@ -52,6 +53,27 @@ def test_n1_gap_is_geometric():
         for M in range(0, 9):
             got = discrete_gap_probability(pars, 0, M)
             assert got == pytest.approx(1.0 - q ** (M + 1), abs=1e-9)
+
+
+def test_toeplitz_oracle_is_geometric_at_one_layer():
+    q = Fraction(1, 4)
+    for M in range(0, 12):
+        assert toeplitz_cdf_exact(q, 1, 0, M) == 1 - q ** (M + 1)
+
+
+@pytest.mark.parametrize("N, u", [(1, 0), (3, 0), (16, -3), (16, 0),
+                                  (16, 5)])
+def test_gap_matches_exact_toeplitz_oracle(N, u):
+    # the one-point law against Gessel's determinant, which shares no
+    # contour code, at thresholds -4 .. 4 fluctuation scales from the edge
+    # of G(N+u, N-u), (q (m + n) + 2 sqrt(q m n)) / (1 - q)
+    q = 0.25
+    pars = default_params(math.sqrt(q), N)
+    edge = (2 * q * N + 2 * math.sqrt(q * (N * N - u * u))) / (1 - q)
+    for z in (-4, -2, 0, 2, 4):
+        M = max(0, round(edge + z * d_scaling(q) * N ** (1 / 3)))
+        exact = float(toeplitz_cdf_exact(q, N, u, M))
+        assert abs(discrete_gap_probability(pars, u, M) - exact) <= 1e-8
 
 
 def test_radii_independence():
