@@ -9,7 +9,7 @@ from .airy_kernel import extended_airy_kernel, a_tilde, heat_phi
 from .fredholm import (TimeGrid, gap_probability, tw2_cdf, tw2_pdf,
                        conditional_window_probability,
                        increment_variance, long_range_covariance)
-from .png_sim import (PngConfig, HeightField, simulate, last_passage_table,
+from .png_sim import (evolve_batch_heights, last_passage_table,
                       coupling_check, coupling_check_detail, rescale_H,
                       d_scaling, growth_speed)
 from .png_kernel import (PngKernelParams, default_params, ktilde_matrix,

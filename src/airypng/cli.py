@@ -103,23 +103,37 @@ def _threads(args) -> int:
     return os.cpu_count() or 1
 
 
-def _outdir(args) -> Path:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class _Output:
+    """Where a command writes: the output directory, made on construction,
+    and the invocation and seed that head every file."""
 
+    def __init__(self, args, argv):
+        self.dir = Path(args.output_dir)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.invocation = "airypng " + " ".join(argv)
+        self.seed = args.master_seed
 
-def _invocation(argv) -> str:
-    return "airypng " + " ".join(argv)
+    def csv(self, name: str, columns, rows) -> None:
+        write_csv(self.dir / name, columns, rows, self.invocation, self.seed)
+
+    def json(self, name: str, doc: dict) -> None:
+        doc = dict(doc, environment={"invocation": self.invocation,
+                                     "version": _version_string()})
+        (self.dir / name).write_text(
+            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+    def svg(self, name: str, series, title: str, xlabel: str,
+            ylabel: str) -> None:
+        (self.dir / name).write_text(
+            line_plot_svg(series, title, xlabel, ylabel,
+                          header_comment=self.invocation), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
 
-def cmd_kernel(args, argv) -> int:
-    out = _outdir(args)
-    inv = _invocation(argv)
+def cmd_kernel(args, out: _Output) -> int:
     if args.okounkov_check:
         alpha = args.alpha
         if not 0.0 < alpha < math.inf:
@@ -136,9 +150,9 @@ def cmd_kernel(args, argv) -> int:
                 rhs = float(airy_kernel.heat_phi(alpha, x, y))
                 rows.append((alpha, x, y, lhs, rhs, abs(lhs - rhs)))
                 worst = max(worst, abs(lhs - rhs))
-        write_csv(out / "okounkov.csv",
-                  ["alpha", "x", "y", "integral", "closed_form", "residual"],
-                  rows, inv, args.master_seed)
+        out.csv("okounkov.csv",
+                ["alpha", "x", "y", "integral", "closed_form", "residual"],
+                rows)
         print(f"okounkov max |residual| = {worst:.3e}")
         return EXIT_OK
     if args.x_grid is None:
@@ -148,14 +162,12 @@ def cmd_kernel(args, argv) -> int:
     values = airy_kernel.kernel_grid(args.s, args.t, xs, ys)
     rows = [(args.s, args.t, x, y, float(v))
             for x, row in zip(xs, values) for y, v in zip(ys, row)]
-    write_csv(out / "kernel.csv", ["s", "t", "x", "y", "value"], rows,
-              inv, args.master_seed)
+    out.csv("kernel.csv", ["s", "t", "x", "y", "value"], rows)
     print(f"wrote {len(rows)} kernel values")
     return EXIT_OK
 
 
-def cmd_tw2(args, argv) -> int:
-    out = _outdir(args)
+def cmd_tw2(args, out: _Output) -> int:
     grid = parse_grid(args.s_grid)
     cols = ["s", "F2"]
     rows = []
@@ -166,65 +178,59 @@ def cmd_tw2(args, argv) -> int:
         rows.append(tuple(row))
     if args.pdf:
         cols.append("F2_prime")
-    write_csv(out / "tw2.csv", cols, rows, _invocation(argv),
-              args.master_seed)
+    out.csv("tw2.csv", cols, rows)
     if args.plot:
-        svg = line_plot_svg([("F2", [r[0] for r in rows],
-                              [r[1] for r in rows])],
-                            "Tracy-Widom GUE distribution", "s", "F2(s)",
-                            header_comment=_invocation(argv))
-        (out / args.plot).write_text(svg, encoding="utf-8")
+        out.svg(args.plot, [("F2", [r[0] for r in rows],
+                             [r[1] for r in rows])],
+                "Tracy-Widom GUE distribution", "s", "F2(s)")
     print(f"wrote tw2.csv with {len(rows)} rows")
     return EXIT_OK
 
 
-def cmd_gap(args, argv) -> int:
-    out = _outdir(args)
+def cmd_gap(args, out: _Output) -> int:
     times = parse_floats(args.times)
     thresholds = parse_floats(args.thresholds)
     grid = fredholm.TimeGrid(tuple(times), tuple(thresholds))
     value = fredholm.gap_probability(grid, n=args.nodes, L=args.cutoff)
     clamped = min(max(value, 0.0), 1.0)
-    write_csv(out / "gap.csv", ["times", "thresholds", "probability"],
-              [(";".join(map(_fmt, times)), ";".join(map(_fmt, thresholds)),
-                clamped)], _invocation(argv), args.master_seed)
+    out.csv("gap.csv", ["times", "thresholds", "probability"],
+            [(";".join(map(_fmt, times)), ";".join(map(_fmt, thresholds)),
+              clamped)])
     print(f"gap probability = {clamped:.12g}")
     return EXIT_OK
 
 
-def _airy_trend(args, path: Path, inv: str) -> dict:
+def _airy_trend(args, out: _Output, name: str) -> dict:
     """Run the Airy conditional-window experiment of ``args`` and write
-    its rows to the CSV at ``path``."""
+    its rows to the CSV ``name``."""
     table = harness.run_airy_brownian_experiment(
         args.t1, args.p1, parse_floats(args.epsilons),
         parse_floats(args.s_gaps),
         [parse_window(w) for w in args.windows.split(",")])
-    write_csv(path, ["epsilon", "estimate", "gaussian_target", "abs_error"],
-              [(r.epsilon, r.estimate, r.gaussian_target, r.abs_error)
-               for r in table["rows"]], inv, args.master_seed)
+    out.csv(name, ["epsilon", "estimate", "gaussian_target", "abs_error"],
+            [(r.epsilon, r.estimate, r.gaussian_target, r.abs_error)
+             for r in table["rows"]])
     return table
 
 
-def cmd_conditional(args, argv) -> int:
-    out = _outdir(args)
-    table = _airy_trend(args, out / "conditional.csv", _invocation(argv))
+def cmd_conditional(args, out: _Output) -> int:
+    table = _airy_trend(args, out, "conditional.csv")
     rows = table["rows"]
     if args.plot:
         eps = [r.epsilon for r in rows]
-        svg = line_plot_svg(
-            [("estimate", eps, [r.estimate for r in rows]),
-             ("gaussian", eps, [r.gaussian_target for r in rows])],
-            "Conditional window probability vs Brownian", "epsilon",
-            "probability", header_comment=_invocation(argv))
-        (out / args.plot).write_text(svg, encoding="utf-8")
+        out.svg(args.plot,
+                [("estimate", eps, [r.estimate for r in rows]),
+                 ("gaussian", eps, [r.gaussian_target for r in rows])],
+                "Conditional window probability vs Brownian", "epsilon",
+                "probability")
     print(f"trend monotone within slack: {table['trend_ok']}")
     return EXIT_OK
 
 
-def cmd_png(args, argv) -> int:
-    out = _outdir(args)
-    inv = _invocation(argv)
+def cmd_png(args, out: _Output) -> int:
     if args.coupling_check:
+        if args.seeds < 1:
+            raise DomainError("--seeds must be >= 1")
         failures = []
         for seed in range(args.seeds):
             ok, viol = png_sim.coupling_check_detail(
@@ -238,32 +244,33 @@ def cmd_png(args, argv) -> int:
             return EXIT_NUMERIC
         return EXIT_OK
     if args.sample_h:
+        if args.replicas < 1:
+            raise DomainError("--replicas must be >= 1")
         ts = parse_grid(args.t_grid) if args.t_grid else np.array([0.0])
+        T = 2 * args.size - 1
         rows = []
         for rep in range(args.replicas):
-            cfg = png_sim.PngConfig(q=args.q, n_steps=2 * args.size - 1,
-                                    seed=args.master_seed + rep)
-            field = png_sim.simulate(cfg)
+            heights = png_sim.evolve_batch_heights(
+                args.q, T, args.master_seed + rep, 0, [0],
+                np.arange(-T, T + 1))[0]
             for t in ts:
                 rows.append((rep, float(t),
-                             png_sim.rescale_H(field, float(t), args.q)))
-        write_csv(out / "h_samples.csv", ["replica", "t", "H"], rows, inv,
-                  args.master_seed)
+                             png_sim.rescale_H(heights, float(t), args.q)))
+        out.csv("h_samples.csv", ["replica", "t", "H"], rows)
         print(f"wrote {len(rows)} H samples")
         return EXIT_OK
-    cfg = png_sim.PngConfig(q=args.q, n_steps=args.n_steps,
-                            seed=args.master_seed)
-    field = png_sim.simulate(cfg)
-    rows = [(x, field.height(x)) for x in range(-field.t, field.t + 1)]
-    write_csv(out / "heights.csv", ["x", "h"], rows, inv, args.master_seed)
-    print(f"wrote height profile at t = {field.t}")
+    T = args.n_steps
+    heights = png_sim.evolve_batch_heights(args.q, T, args.master_seed, 0,
+                                           [0], np.arange(-T, T + 1))[0]
+    out.csv("heights.csv", ["x", "h"], zip(range(-T, T + 1), heights))
+    print(f"wrote height profile at t = {T}")
     return EXIT_OK
 
 
-def cmd_png_kernel(args, argv) -> int:
-    out = _outdir(args)
-    inv = _invocation(argv)
+def cmd_png_kernel(args, out: _Output) -> int:
     if args.n1_exact:
+        if not 0.0 < args.q < 1.0:
+            raise DomainError("--q must lie in (0, 1)")
         params = png_kernel.default_params(math.sqrt(args.q), 1)
         rows = []
         worst = 0.0
@@ -272,18 +279,17 @@ def cmd_png_kernel(args, argv) -> int:
             exact = 1.0 - args.q ** (M + 1)
             rows.append((M, det, exact, abs(det - exact)))
             worst = max(worst, abs(det - exact))
-        write_csv(out / "n1_exact.csv",
-                  ["threshold", "determinant", "geometric_cdf", "abs_error"],
-                  rows, inv, args.master_seed)
+        out.csv("n1_exact.csv",
+                ["threshold", "determinant", "geometric_cdf", "abs_error"],
+                rows)
         print(f"n1 exactness: max abs error = {worst:.3e}")
         return EXIT_OK
     if args.airy_limit:
-        n_list = [int(v) for v in parse_floats(args.n_list)]
-        rows = png_kernel.airy_limit_report(args.q, n_list)
-        write_csv(out / "airy_limit.csv",
-                  ["N", "quantity", "value", "reference", "abs_error"],
-                  [(r.N, "scaled_ktilde", r.scaled_kernel, r.airy_reference,
-                    r.abs_error) for r in rows], inv, args.master_seed)
+        rows = png_kernel.airy_limit_report(args.q, parse_floats(args.n_list))
+        out.csv("airy_limit.csv",
+                ["N", "quantity", "value", "reference", "abs_error"],
+                [(r.N, "scaled_ktilde", r.scaled_kernel, r.airy_reference,
+                  r.abs_error) for r in rows])
         print("airy-limit errors: "
               + ", ".join(f"N={r.N}: {r.abs_error:.3e}" for r in rows))
         return EXIT_OK
@@ -307,53 +313,40 @@ def _load_plan(args) -> harness.PngExperimentPlan:
     cfg.setdefault("windows", [[-1.0, 1.0]])
     cfg.setdefault("replicas", 200_000)
     cfg.setdefault("master_seed", args.master_seed)
-    cfg["windows"] = [tuple(w) for w in cfg["windows"]]
-    cfg["s_gaps"] = tuple(cfg["s_gaps"])
     cfg["workers"] = args.threads_resolved
     return harness.PngExperimentPlan(**cfg)
 
 
-def cmd_verify(args, argv) -> int:
-    out = _outdir(args)
-    inv = _invocation(argv)
+def cmd_verify(args, out: _Output) -> int:
     if args.experiment == "png-brownian":
         plan = _load_plan(args)
+        # a plan file may carry its own seed
+        out.seed = plan.master_seed
         report = harness.run_png_brownian_experiment(plan)
-        doc = report.as_dict(include_timing=not args.no_timing)
-        doc["environment"] = {"invocation": inv,
-                              "version": _version_string()}
-        (out / "report.json").write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8")
+        out.json("report.json",
+                 report.as_dict(include_timing=not args.no_timing))
         rows = [(e["window"][0], e["window"][1], e["integer_window"][0],
                  e["integer_window"][1], e["estimate"], e["standard_error"])
                 for e in report.estimates]
-        write_csv(out / "report.csv",
-                  ["a", "b", "lo", "hi", "estimate", "standard_error"],
-                  rows, inv, plan.master_seed)
-        svg = line_plot_svg(
-            [("estimate", list(range(1, len(rows) + 1)),
-              [r[4] for r in rows]),
-             ("gaussian", list(range(1, len(rows) + 1)),
-              [report.gaussian_target] * len(rows))],
-            "Growth-model window probabilities", "window index",
-            "probability", header_comment=inv)
-        (out / "report.svg").write_text(svg, encoding="utf-8")
+        out.csv("report.csv",
+                ["a", "b", "lo", "hi", "estimate", "standard_error"], rows)
+        index = list(range(1, len(rows) + 1))
+        out.svg("report.svg",
+                [("estimate", index, [r[4] for r in rows]),
+                 ("gaussian", index, [report.gaussian_target] * len(rows))],
+                "Growth-model window probabilities", "window index",
+                "probability")
         print(f"joint estimate {report.joint_estimate:.5f} "
               f"+- {report.joint_standard_error:.5f}; "
               f"gaussian {report.gaussian_target:.5f}; "
               f"conditioned {report.conditioned_count}")
         return EXIT_OK
     if args.experiment == "airy-brownian":
-        table = _airy_trend(args, out / "airy_trend.csv", inv)
-        doc = {"rows": [vars(r) for r in table["rows"]],
-               "gaussian_target": table["gaussian_target"],
-               "trend_ok": table["trend_ok"],
-               "environment": {"invocation": inv,
-                               "version": _version_string()}}
-        (out / "airy_trend.json").write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8")
+        table = _airy_trend(args, out, "airy_trend.csv")
+        out.json("airy_trend.json",
+                 {"rows": [vars(r) for r in table["rows"]],
+                  "gaussian_target": table["gaussian_target"],
+                  "trend_ok": table["trend_ok"]})
         print(f"trend ok: {table['trend_ok']}")
         return EXIT_OK
     raise DomainError(f"unknown experiment {args.experiment!r}")
@@ -479,7 +472,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.threads_resolved = _threads(args)
-        return args.fn(args, argv)
+        return args.fn(args, _Output(args, argv))
     except DomainError as exc:
         parser.exit(EXIT_USAGE, f"usage error: {exc}\n")
     except NumericsError as exc:

@@ -199,27 +199,19 @@ def _gap_density(grid: TimeGrid, n: int, L: float):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=100_000)
-def _tw2_cached(s: float, n: int, L: float) -> float:
-    return gap_probability(TimeGrid((0.0,), (s,)), n=n, L=L)
-
-
 def tw2_cdf(s: float, n: int = DEFAULT_NODES,
             L: float = DEFAULT_CUTOFF) -> float:
     """F_2(s), the GUE Tracy-Widom distribution function, for s >= -8."""
-    return _tw2_cached(float(s), n, float(L))
+    return gap_probability(TimeGrid((0.0,), (s,)), n=n, L=L)
 
 
 @lru_cache(maxsize=100_000)
-def _tw2_pdf_cached(s: float, n: int, L: float) -> float:
-    return _gap_density(TimeGrid((0.0,), (s,)), n, L)[1]
-
-
 def tw2_pdf(s: float, n: int = DEFAULT_NODES,
             L: float = DEFAULT_CUTOFF) -> float:
     """F_2'(s) for s >= -8, exactly: F_2(s) times the resolvent of the Airy
     kernel at the endpoint s (``_gap_density`` on one time), under the same
     refinement certificate as ``tw2_cdf``, and memoised like it."""
-    return _tw2_pdf_cached(float(s), n, float(L))
+    return _gap_density(TimeGrid((0.0,), (s,)), n, L)[1]
 
 
 @lru_cache(maxsize=None)

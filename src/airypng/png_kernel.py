@@ -69,6 +69,8 @@ class PngKernelParams:
 
 def default_params(alpha: float, N: int) -> PngKernelParams:
     """Radii 1 * (1 +- 0.8 N^{-1/3}), clamped into (alpha, 1/alpha)."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError("alpha must lie in (0, 1)")
     if N < 1:
         raise DomainError("N must be >= 1")
     delta = 0.8 * N ** (-1.0 / 3.0)
@@ -314,17 +316,20 @@ def airy_limit_report(q: float, N_list):
     """Tabulate |d N^(1/3) Ktilde_N - extended Airy kernel| against N at
     equal times and the scaled coordinate 0, recomputed from the rounded
     height index so that the reference is evaluated at the point used."""
+    if not 0.0 < q < 1.0:
+        raise DomainError("q must lie in (0, 1)")
     alpha, d, mu = math.sqrt(q), d_scaling(q), growth_speed(q)
     rows = []
     for N in N_list:
-        if not 1 <= N <= 512:
-            raise DomainError("airy_limit_report N range is [1, 512]")
+        if not (1 <= N <= 512 and N == int(N)):
+            raise DomainError("airy_limit_report needs integers N in [1, 512]")
+        N = int(N)
         x = round(mu * N)
         xp = (x - mu * N) / (d * N ** (1.0 / 3.0))
         scaled = d * N ** (1.0 / 3.0) * float(ktilde_matrix(
             default_params(alpha, N), 0, 0, [x], [x])[0, 0])
         ref = extended_airy_kernel(0.0, 0.0, xp, xp)
-        rows.append(AiryLimitRow(N=int(N), scaled_kernel=scaled,
+        rows.append(AiryLimitRow(N=N, scaled_kernel=scaled,
                                  airy_reference=ref,
                                  abs_error=abs(scaled - ref)))
     return rows

@@ -11,10 +11,9 @@ mapping the last-passage weights w(i, j) onto noise at position i-j and
 time i+j-1 lands exactly on active(s), and coupling_check verifies the
 identity bit-for-bit.
 
-One growth recursion (_grow) serves the batched Monte Carlo, of which
-simulate is the one-replica case, and the coupling check; one row
-recurrence (_lpp_rows) serves the full last-passage table and the
-batched corner value. Its along-row scans run along whichever axis is
+One growth recursion (_grow) serves evolve_batch_heights, the one public
+growth entry, and the coupling check; one row recurrence (_lpp_rows)
+serves the full last-passage table and the batched corner value. Its along-row scans run along whichever axis is
 longer: over a row's columns, with the leading axes as the vector, when
 those hold strictly more elements than the row (a batch of 3 x 3
 fields), and along the row otherwise (a 200 x 200 table).
@@ -31,7 +30,6 @@ results do not depend on batching or worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -39,38 +37,6 @@ import numpy as np
 from .errors import DomainError
 
 HEIGHT_DTYPE = np.int64
-
-
-@dataclass(frozen=True)
-class PngConfig:
-    q: float
-    n_steps: int
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise DomainError("geometric parameter q must lie in (0, 1)")
-        if self.n_steps < 1:
-            raise DomainError("n_steps must be >= 1")
-
-
-@dataclass
-class HeightField:
-    """Interface state at integer time t; heights indexed by x in [-t, t]."""
-
-    t: int
-    heights: np.ndarray
-
-    def height(self, x: int) -> int:
-        t = self.t
-        if abs(x) > t:
-            return 0
-        return int(self.heights[x + t])
-
-
-def active_sites(s: int) -> np.ndarray:
-    """Positions x with |x| <= s-1 and s - x odd, ascending."""
-    return np.arange(-(s - 1), s, 2)
 
 
 def _geometric_floor(v: np.ndarray, q: float) -> np.ndarray:
@@ -157,14 +123,6 @@ def _grow(noise: np.ndarray, n_steps: int, cone=None):
         h[lo + a0 - a:hi:2] += noise[off:off + n]
         off += n
         yield h.T
-
-
-def simulate(config: PngConfig) -> HeightField:
-    """The heights on [-T, T] after T = config.n_steps steps from the flat
-    state: replica 0 of ``evolve_batch_heights`` on stream tag 0."""
-    T = config.n_steps
-    return HeightField(t=T, heights=evolve_batch_heights(
-        config.q, T, config.seed, 0, [0], np.arange(-T, T + 1))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +279,20 @@ def space_scale(q: float) -> float:
     return 2.0 * (1.0 + sq) / (1.0 - sq) / d_scaling(q)
 
 
-def rescale_H(field: HeightField, t: float, q: float) -> float:
-    """H_N(t) from a field at time 2N - 1, heights interpolated linearly
-    between integer sites."""
-    if field.t % 2 != 1:
-        raise DomainError("rescale_H needs a field at odd time 2N - 1")
-    N = (field.t + 1) // 2
+def rescale_H(heights, t: float, q: float) -> float:
+    """H_N(t) from the 2T + 1 heights on [-T, T] at time T = 2N - 1,
+    interpolated linearly between integer sites."""
+    if len(heights) % 4 != 3:
+        raise DomainError("rescale_H needs the heights on [-T, T] at an odd "
+                          "time T = 2N - 1")
+    T = len(heights) // 2
+    N = (T + 1) // 2
     x = space_scale(q) * N ** (2.0 / 3.0) * t
     lo = math.floor(x)
     frac = x - lo
-    T = field.t
     if lo < -T or lo + 1 > T:
         raise DomainError(f"t={t} maps to x={x:.2f}, outside the growth cone")
-    h = (1.0 - frac) * field.heights[lo + T] + frac * field.heights[lo + 1 + T]
+    h = (1.0 - frac) * heights[lo + T] + frac * heights[lo + 1 + T]
     return (h - growth_speed(q) * N) / (d_scaling(q) * N ** (1.0 / 3.0))
 
 
@@ -357,6 +316,8 @@ def evolve_batch_heights(q: float, n_steps: int, master_seed: int, tag: int,
     T = int(n_steps)
     if not 0.0 < q < 1.0:
         raise DomainError("geometric parameter q must lie in (0, 1)")
+    if T < 1:
+        raise DomainError("n_steps must be >= 1")
     if positions.size == 0 or np.any(np.abs(positions) > T):
         raise DomainError("recorded positions missing or outside the growth "
                           "cone")

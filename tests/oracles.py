@@ -165,6 +165,11 @@ def png_heights_oracle(noise_steps) -> list:
     return [h.get(x, 0) for x in range(-T, T + 1)]
 
 
+def active_sites(s: int) -> np.ndarray:
+    """Positions x with |x| <= s-1 and s - x odd, ascending."""
+    return np.arange(-(s - 1), s, 2)
+
+
 def geometric_pmf(q: float, m) -> np.ndarray:
     m = np.asarray(m)
     return (1.0 - q) * q ** m

@@ -60,6 +60,13 @@ def test_unknown_flag_usage_error(tmp_path):
     ["verify", "png-brownian", "--size", "0"],
     ["gap", "--times", "0", "--thresholds", "0", "--cutoff", "nan"],
     ["kernel", "--okounkov-check", "--alpha", "nan"],
+    ["png-kernel", "--n1-exact", "--q", "-0.25"],
+    ["png-kernel", "--n1-exact", "--q", "0"],
+    ["png-kernel", "--airy-limit", "--q", "-0.25"],
+    ["png-kernel", "--airy-limit", "--q", "nan"],
+    ["png-kernel", "--airy-limit", "--n-list", "32.5"],
+    ["png", "--coupling-check", "--seeds", "-1"],
+    ["png", "--sample-h", "--replicas", "-3"],
 ])
 def test_malformed_grid_list_and_window_are_usage_errors(tmp_path, args):
     res = run_cli(args, tmp_path)

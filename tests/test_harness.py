@@ -167,7 +167,7 @@ def test_airy_experiment_computes_the_density_once(monkeypatch):
     # the TW2 density at p1 is one certified single-time density, shared
     # by every epsilon
     from airypng import fredholm
-    fredholm._tw2_pdf_cached.cache_clear()
+    fredholm.tw2_pdf.cache_clear()
     times = []
     real = fredholm._gap_density
 

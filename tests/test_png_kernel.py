@@ -29,6 +29,14 @@ def test_params_validation():
     for N in (0, -5):
         with pytest.raises(DomainError):
             default_params(0.5, N)
+    for alpha in (-0.5, 0.0, 1.0, 2.0, math.nan):
+        with pytest.raises(DomainError):
+            default_params(alpha, 4)
+    for q in (-0.25, 0.0, 1.0, math.nan):
+        with pytest.raises(DomainError):
+            airy_limit_report(q, [32])
+    with pytest.raises(DomainError):
+        airy_limit_report(0.25, [32.5])
 
 
 def test_default_radii_inside_annulus():

@@ -5,23 +5,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from airypng import png_sim
-from airypng.png_sim import (PngConfig, HeightField, simulate,
-                             geometric_from_uniform, replica_generator,
+from airypng.png_sim import (geometric_from_uniform, replica_generator,
                              last_passage_table,
                              last_passage_batch, coupling_check,
                              coupling_check_detail, rescale_H,
-                             evolve_batch_heights, d_scaling, growth_speed,
-                             active_sites)
+                             evolve_batch_heights, d_scaling, growth_speed)
 from airypng.errors import DomainError
 
-from oracles import lpp_bruteforce, geometric_pmf, png_heights_oracle
+from oracles import (lpp_bruteforce, geometric_pmf, png_heights_oracle,
+                     active_sites)
+
+
+def _profile(q, T, seed):
+    """The heights on [-T, T] at time T of replica 0 on stream tag 0, as
+    the png command computes them."""
+    return evolve_batch_heights(q, T, seed, 0, [0], np.arange(-T, T + 1))[0]
 
 
 def test_config_validation():
     with pytest.raises(DomainError):
-        PngConfig(q=1.0, n_steps=4, seed=0)
+        _profile(1.0, 4, 0)
     with pytest.raises(DomainError):
-        PngConfig(q=0.5, n_steps=0, seed=0)
+        _profile(0.5, 0, 0)
 
 
 def test_geometric_mean_and_mass():
@@ -64,12 +69,11 @@ def test_noise_paths_reject_q_outside_unit_interval(draw, q):
 
 
 def test_first_step_single_block():
-    field = simulate(PngConfig(q=0.25, n_steps=1, seed=5))
-    assert field.t == 1
-    assert field.heights.shape == (3,)
-    assert field.heights[0] == field.heights[2] == 0
+    heights = _profile(0.25, 1, 5)
+    assert heights.shape == (3,)
+    assert heights[0] == heights[2] == 0
     # the single active site at time 1 carries the whole increment
-    assert field.heights[1] >= 0
+    assert heights[1] >= 0
 
 
 def test_zero_noise_stays_flat():
@@ -79,9 +83,9 @@ def test_zero_noise_stays_flat():
 
 
 def test_replay_determinism():
-    a = simulate(PngConfig(q=0.25, n_steps=25, seed=99))
-    b = simulate(PngConfig(q=0.25, n_steps=25, seed=99))
-    assert np.array_equal(a.heights, b.heights)
+    a = _profile(0.25, 25, 99)
+    b = _profile(0.25, 25, 99)
+    assert np.array_equal(a, b)
 
 
 def test_growth_cone_and_monotonicity():
@@ -365,27 +369,29 @@ def test_scaling_constants():
 
 
 def test_rescale_interpolation_midpoint():
-    field = simulate(PngConfig(q=0.25, n_steps=2 * 12 - 1, seed=4))
+    heights = _profile(0.25, 2 * 12 - 1, 4)
     from airypng.png_sim import space_scale
     scale = space_scale(0.25) * 12 ** (2.0 / 3.0)
     t_site = 3.0 / scale      # lands exactly on x = 3
     t_half = 3.5 / scale
-    h_site = rescale_H(field, t_site, 0.25)
-    h_next = rescale_H(field, (4.0 - 1e-12) / scale, 0.25)
-    h_half = rescale_H(field, t_half, 0.25)
+    h_site = rescale_H(heights, t_site, 0.25)
+    h_next = rescale_H(heights, (4.0 - 1e-12) / scale, 0.25)
+    h_half = rescale_H(heights, t_half, 0.25)
     assert h_half == pytest.approx(0.5 * (h_site + h_next), abs=1e-6)
 
 
 def test_rescale_out_of_cone():
-    field = simulate(PngConfig(q=0.25, n_steps=2 * 4 - 1, seed=4))
+    heights = _profile(0.25, 2 * 4 - 1, 4)
     with pytest.raises(DomainError):
-        rescale_H(field, 50.0, 0.25)
+        rescale_H(heights, 50.0, 0.25)
 
 
 def test_rescale_needs_odd_time():
-    field = HeightField(t=4, heights=np.zeros(9, dtype=np.int64))
-    with pytest.raises(DomainError):
-        rescale_H(field, 0.0, 0.25)
+    # a row on [-T, T] at an odd time T has length 2T + 1 = 3 mod 4;
+    # 9 is T = 4, and 10 and 14 are no such row at all
+    for length in (9, 10, 14):
+        with pytest.raises(DomainError):
+            rescale_H(np.zeros(length, dtype=np.int64), 0.0, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +410,12 @@ def test_batch_matches_sequential():
     assert batch[0].tolist() == png_heights_oracle(noise)
 
 
-def test_simulate_matches_scalar_recursion():
+def test_profile_matches_scalar_recursion():
     q, T = 0.3, 17
     noise = _step_draws(replica_generator(8, 0, 0), q, T)
-    field = simulate(PngConfig(q=q, n_steps=T, seed=8))
-    assert field.t == T
-    assert field.heights.tolist() == png_heights_oracle(noise)
+    heights = _profile(q, T, 8)
+    assert heights.shape == (2 * T + 1,)
+    assert heights.tolist() == png_heights_oracle(noise)
 
 
 def test_batch_grouping_invariance():

@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import airypng
+from airypng import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,7 +15,10 @@ REMOVED = {"gauss_legendre": "panel_rule", "QuadratureRule": "panel_rule",
            "build_operator": "gap_probability",
            "DiscretizedOperator": "gap_probability",
            "correlation_R": "extended_airy_kernel",
-           "SpaceTimePoint": "extended_airy_kernel"}
+           "SpaceTimePoint": "extended_airy_kernel",
+           "PngConfig": "evolve_batch_heights",
+           "HeightField": "evolve_batch_heights",
+           "simulate": "evolve_batch_heights"}
 
 
 def _library_rows():
@@ -40,3 +44,16 @@ def test_readme_library_table_names_resolve():
 def test_removed_names_are_gone_and_their_survivors_public():
     assert not set(REMOVED) & set(airypng.__all__)
     assert set(REMOVED.values()) <= set(airypng.__all__)
+
+
+def test_readme_commands_parse():
+    # every command README shows must parse as written, without running
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    commands = [line.split()[1:] for line in block.splitlines()
+                if line.startswith("airypng ")]
+    assert len(commands) >= 11
+    parser = cli.build_parser()
+    for argv in commands:
+        args = parser.parse_args(cli._merge_dash_values(argv))
+        assert args.command == argv[0]
