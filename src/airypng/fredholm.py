@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -140,13 +140,13 @@ def _density_value(grid: TimeGrid, n: int, L: float, npp: int):
     return P, P * float(1.0 - M[k, k] + border)
 
 
-def _certified(value, grid: TimeGrid, n: int, L: float, what):
-    """``value(grid, m, L, 48)``, accepted only if the (2m, L+4) rerun,
-    which also doubles the z-grid nodes per panel (48 to 96) of the blocks
-    between times, moves each component by at most 1e-8; the rerun's
-    result is returned.  For a single time the kernel is the closed form,
-    so the rerun certifies the m-node Nystrom quadrature and the truncation
-    of (xi, inf) at xi + L.
+def _certified(value, thresholds, n: int, L: float, what):
+    """``value(m, L, 48)``, accepted only if the (2m, L+4) rerun, which also
+    doubles the z-grid nodes per panel (48 to 96) of the blocks between
+    times, moves each component by at most 1e-8; the rerun's result is
+    returned.  For a single time the kernel is the closed form, so the
+    rerun certifies the m-node Nystrom quadrature and the truncation of
+    (xi, inf) at xi + L.
 
     The pair is tried at m = n/4, n/2 and n, cheapest first (Nystrom
     quadrature of these analytic kernels converges exponentially in m,
@@ -156,16 +156,15 @@ def _certified(value, grid: TimeGrid, n: int, L: float, what):
     agree while both are far off.  A lower pair with fewer is skipped; a
     top pair with fewer is not accepted but raises ``NumericsError`` with
     its two values, as does a top pair that disagrees.  Every gap
-    probability, density, F_2 and F_2' value of this module comes from
-    this ladder."""
-    if any(xi < THRESHOLD_MIN for xi in grid.thresholds):
+    probability, F_2, F_2' and conditional window of this module is
+    returned by this ladder."""
+    if any(xi < THRESHOLD_MIN for xi in thresholds):
         raise DomainError(f"thresholds below {THRESHOLD_MIN} are unsupported")
     if not (n >= 16 and 8.0 <= L < math.inf):
         raise DomainError(f"{what} needs n >= 16 and a finite L >= 8")
 
     def pair(m):
-        return (value(grid, *level)
-                for level in ((m, L, 48), (2 * m, L + 4.0, 96)))
+        return (value(*level) for level in ((m, L, 48), (2 * m, L + 4.0, 96)))
 
     fewest = 6 * (len(_panel_edges(0.0, L)) - 1)
     if n < fewest:
@@ -185,13 +184,8 @@ def gap_probability(grid: TimeGrid, n: int = DEFAULT_NODES,
                     L: float = DEFAULT_CUTOFF) -> float:
     """P[A(t_i) <= xi_i for all i] as det(I - D), certified by
     ``_certified``; ``n`` is the top order of its ladder."""
-    return _certified(_gap_value, grid, n, L, "gap_probability")
-
-
-def _gap_density(grid: TimeGrid, n: int, L: float):
-    """(P, dP/dxi_1) of the gap event of ``grid``, both certified; every
-    density and conditional probability is built on it."""
-    return _certified(_density_value, grid, n, L, "density")
+    return _certified(partial(_gap_value, grid), grid.thresholds, n, L,
+                      "gap_probability")
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +203,10 @@ def tw2_cdf(s: float, n: int = DEFAULT_NODES,
 def tw2_pdf(s: float, n: int = DEFAULT_NODES,
             L: float = DEFAULT_CUTOFF) -> float:
     """F_2'(s) for s >= -8, exactly: F_2(s) times the resolvent of the Airy
-    kernel at the endpoint s (``_gap_density`` on one time), under the same
-    refinement certificate as ``tw2_cdf``, and memoised like it."""
-    return _gap_density(TimeGrid((0.0,), (s,)), n, L)[1]
+    kernel at the endpoint s (``_density_value`` on one time), both under
+    the certificate of ``tw2_cdf``, and memoised like it."""
+    grid = TimeGrid((0.0,), (s,))
+    return _certified(partial(_density_value, grid), (s,), n, L, "density")[1]
 
 
 @lru_cache(maxsize=None)
@@ -231,23 +226,22 @@ def _tw2_moments():
 # ---------------------------------------------------------------------------
 
 def conditional_window_probability(t1: float, p1: float, offsets,
-                                   epsilon: float, n: int = 160,
-                                   L: float = DEFAULT_CUTOFF) -> float:
+                                   epsilon: float, n: int = 160) -> float:
     """P[A(t_i) in [p1 + a_i sqrt(eps), p1 + b_i sqrt(eps)] for all i >= 2
     given A(t_1) = p1], with exact conditioning.
 
     The joint density at A(t_1) = p1 is the 2^(m-1)-vertex box sum of
-    dP/dxi_1 at xi_1 = p1 over the later windows (``_gap_density``); it is
-    divided by the TW2 density F_2'(p1).  ``offsets`` lists (s_gap, a, b)
-    per later time; t_i = t_{i-1} + s_gap * epsilon.
+    dP/dxi_1 at xi_1 = p1 over the later windows (``_density_value``); it
+    is divided by the TW2 density F_2'(p1), and ``_certified`` gates that
+    ratio, the value returned.  ``offsets`` lists (s_gap, a, b) per later
+    time; t_i = t_{i-1} + s_gap * epsilon.
     """
     offsets = list(offsets)
     if not 1 <= len(offsets) <= 3:
         raise DomainError("conditional window supports 1..3 offsets")
     if not 0.01 <= epsilon <= 0.5:
         raise DomainError("epsilon must lie in [0.01, 0.5]")
-    times = [float(t1)]
-    windows = []
+    times, corners = [float(t1)], [(1, (p1,))]   # (sign, xi) per vertex
     root = math.sqrt(epsilon)
     for s_gap, a, b in offsets:
         if not s_gap > 0:
@@ -255,19 +249,20 @@ def conditional_window_probability(t1: float, p1: float, offsets,
         if a > b:
             raise DomainError("window needs a <= b")
         times.append(times[-1] + s_gap * epsilon)
-        windows.append((p1 + a * root, p1 + b * root))
-    density = tw2_pdf(p1, n=n, L=L)
+        corners = ([(-sign, (*xi, p1 + a * root)) for sign, xi in corners]
+                   + [(sign, (*xi, p1 + b * root)) for sign, xi in corners])
+    density = tw2_pdf(p1, n=n)
     if density < 1e-8:
         raise NumericsError(
             f"conditioning density {density:.3e} is ill-conditioned")
-    m = len(offsets)
-    joint = 0.0
-    for mask in range(1 << m):
-        vertex = [w[mask >> i & 1] for i, w in enumerate(windows)]
-        sign = (-1) ** (m - bin(mask).count("1"))
-        joint += sign * _gap_density(TimeGrid(tuple(times), (p1, *vertex)),
-                                     n, L)[1]
-    return joint / density
+    vertices = [(sign, TimeGrid(tuple(times), xi)) for sign, xi in corners]
+
+    def ratio(*level):
+        return sum(sign * _density_value(grid, *level)[1]
+                   for sign, grid in vertices) / density
+
+    return _certified(ratio, sum((xi for _, xi in corners), ()), n,
+                      DEFAULT_CUTOFF, "conditional_window_probability")
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +273,10 @@ def conditional_window_probability(t1: float, p1: float, offsets,
 # coordinate leaves [-6.9, 5.3], so the [-8, 8]^2 contract domain can be
 # clipped to it; these are its x-panels.
 _COV_X_EDGES = np.array([-6.9, -4.0, -1.5, 1.0, 5.3])
-_COV_NPP = 32
+_COV_NODES, _COV_NPP = 96, 32
 
 
-def _covariance_once(t: float, n: int, L: float, per: int) -> float:
+def _covariance_once(t: float, per: int) -> float:
     """Cov(A(t), A(0)) as the Hoeffding integral of
     P[A(t) <= x, A(0) <= y] - F(x) F(y), in coordinates rotated to follow
     the near-diagonal crossover, ``per`` Gauss nodes on every u- and
@@ -314,13 +309,14 @@ def _covariance_once(t: float, n: int, L: float, per: int) -> float:
     x_nodes, x_weights = panel_rule(_COV_X_EDGES, per)
     integrand = np.zeros((len(x_nodes), len(u_nodes)))
     for row, x in zip(integrand, x_nodes):
-        legt = Leg(t, *_leg_rule(x, x + L, n), npp=_COV_NPP)
+        legt = Leg(t, *_leg_rule(x, x + DEFAULT_CUTOFF, _COV_NODES), _COV_NPP)
         D_tt = _scaled_block(legt, legt)
         F_x = _det_i_minus(D_tt)
         E_inv = np.linalg.inv(np.eye(len(D_tt)) - D_tt)
         for idx in np.flatnonzero(x - u_nodes >= _COV_X_EDGES[0]):
             y = x - u_nodes[idx]
-            leg0 = Leg(0.0, *_leg_rule(y, y + L, n), npp=_COV_NPP)
+            leg0 = Leg(0.0, *_leg_rule(y, y + DEFAULT_CUTOFF, _COV_NODES),
+                       _COV_NPP)
             D_00 = _scaled_block(leg0, leg0)
             schur = D_00 + _scaled_block(leg0, legt) @ (
                 E_inv @ _scaled_block(legt, leg0))
@@ -329,14 +325,14 @@ def _covariance_once(t: float, n: int, L: float, per: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _covariance(t: float, n: int, L: float) -> float:
+def _covariance(t: float) -> float:
     """``_covariance_once`` at 4 and then 6 nodes per panel, accepted when
     the two agree within 5e-3; memoised like ``tw2_cdf``."""
-    return settled((_covariance_once(t, n, L, per) for per in (4, 6)),
+    return settled((_covariance_once(t, per) for per in (4, 6)),
                    5e-3, "covariance grid refinement")
 
 
-def increment_variance(t: float, n: int = 96, L: float = DEFAULT_CUTOFF) -> float:
+def increment_variance(t: float) -> float:
     """Var(A(t) - A(0)) = 2 (Var TW2 - Cov(A(t), A(0))) for t in
     [0.02, 0.5]; Var TW2 is ``_tw2_moments``, the quadrature of the exact
     density."""
@@ -345,15 +341,14 @@ def increment_variance(t: float, n: int = 96, L: float = DEFAULT_CUTOFF) -> floa
         return 0.0
     if not 0.02 <= t <= 0.5:
         raise DomainError("increment_variance supports t in [0.02, 0.5]")
-    cov = _covariance(t, n, L)
+    cov = _covariance(t)
     _, var = _tw2_moments()
     return 2.0 * (var - cov)
 
 
-def long_range_covariance(t: float, n: int = 96,
-                          L: float = DEFAULT_CUTOFF) -> float:
+def long_range_covariance(t: float) -> float:
     """Cov(A(t), A(0)) for t in [2, 6]."""
     t = float(t)
     if not 2.0 <= t <= 6.0:
         raise DomainError("long_range_covariance supports t in [2, 6]")
-    return _covariance(t, n, L)
+    return _covariance(t)

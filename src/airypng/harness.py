@@ -126,8 +126,11 @@ def gaussian_window_integral(s_list, bounds) -> float:
     """Integral over prod [a_i, b_i] of the chained heat kernels
     prod (4 pi s_i)^{-1/2} exp(-(x_i - x_{i-1})^2 / (4 s_i)), x_1 = 0.
 
-    Evaluated by iterated Gauss quadrature; exact erf for one step.
+    Evaluated by iterated Gauss quadrature; exact erf for one step, and 0
+    when any window is a single point.
     """
+    if any(a == b for a, b in bounds):
+        return 0.0
     if len(s_list) == 1:
         (a, b), s = bounds[0], s_list[0]
         half = 0.5 / math.sqrt(s)

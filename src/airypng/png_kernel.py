@@ -61,8 +61,8 @@ class PngKernelParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise DomainError("alpha must lie in (0, 1)")
-        if self.N < 1:
-            raise DomainError("N must be >= 1")
+        if not (1 <= self.N < math.inf and self.N == int(self.N)):
+            raise DomainError("N must be an integer >= 1")
         if not self.alpha < self.r1 < self.r2 < 1.0 / self.alpha:
             raise DomainError("radii must satisfy alpha < r1 < r2 < 1/alpha")
 
@@ -292,6 +292,8 @@ def joint_gap_probability(params: PngKernelParams, events) -> float:
     certified accuracy.  From about 8 scales below it (N >= 256) the
     contour's imaginary residual exceeds its 1e-10 guard and the call
     raises ``NumericsError`` instead of returning a number."""
+    if not events:
+        raise DomainError("joint_gap_probability needs at least one event")
     if min(thr for _u, thr in events) < -1:
         raise DomainError("threshold must be >= -1")
     return _gap_det(params, events, _window(params, events))

@@ -288,10 +288,10 @@ def rescale_H(heights, t: float, q: float) -> float:
     T = len(heights) // 2
     N = (T + 1) // 2
     x = space_scale(q) * N ** (2.0 / 3.0) * t
+    if not -T <= x < T:     # NaN and infinities included
+        raise DomainError(f"t={t} maps to x={x:.2f}, outside the growth cone")
     lo = math.floor(x)
     frac = x - lo
-    if lo < -T or lo + 1 > T:
-        raise DomainError(f"t={t} maps to x={x:.2f}, outside the growth cone")
     h = (1.0 - frac) * heights[lo + T] + frac * heights[lo + 1 + T]
     return (h - growth_speed(q) * N) / (d_scaling(q) * N ** (1.0 / 3.0))
 

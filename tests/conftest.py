@@ -1,5 +1,6 @@
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,14 @@ def child_env(**extra):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (root, os.environ.get("PYTHONPATH")) if p)
     return env
+
+
+def certified_density(grid, n, L):
+    """(P, dP/dxi_1) of the gap event of ``grid``, both gated by the
+    package's refinement ladder, as ``tw2_pdf`` gates them on one time."""
+    from airypng import fredholm
+    return fredholm._certified(partial(fredholm._density_value, grid),
+                               grid.thresholds, n, L, "density")
 
 
 @pytest.fixture(scope="session")

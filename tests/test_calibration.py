@@ -1,9 +1,11 @@
 """Calibration of the certificates against a finer reference.
 
-``gap_probability`` and ``_gap_density`` return the finer value of the
-first (m, 2m) pair of their ladder that agrees within 1e-8.  Each value
-here is compared with the same determinant two levels finer than the top
-pair (n, L) -> (2n, L+4): at (4n, L+8) with 192 z-nodes per panel.
+``gap_probability``, the certified density and
+``conditional_window_probability`` return the finer value of the first
+(m, 2m) pair of their ladder that agrees within 1e-8.  Each value here
+is compared with the same determinant, or the same box sum over the same
+density, two levels finer than the top pair (n, L) -> (2n, L+4): at
+(4n, L+8) with 192 z-nodes per panel.
 ``kernel_grid`` returns the 96-node block of its 48/96 doubling; it is
 compared with the same route at 192 nodes per panel.  ``ktilde_matrix``
 returns the contour level whose factor bound first meets its tolerance;
@@ -15,14 +17,18 @@ times wider.  ``_covariance`` returns the 6-node level of its 4/6 pair; it
 is compared with the same integral at 10 nodes per panel.
 """
 
+import math
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from airypng.airy_kernel import Leg, _route, heat_phi, kernel_grid
 from airypng.errors import settled
-from airypng.fredholm import (TimeGrid, gap_probability, _gap_density,
-                              _density_value, _covariance, _covariance_once,
+from airypng.fredholm import (TimeGrid, gap_probability, _density_value,
+                              _covariance, _covariance_once,
+                              conditional_window_probability,
                               DEFAULT_NODES, DEFAULT_CUTOFF)
 from airypng.png_kernel import (default_params, ktilde_matrix, _doublings,
                                 _factors, _norm, _CONTOUR_POINTS, _gap_det,
@@ -30,6 +36,7 @@ from airypng.png_kernel import (default_params, ktilde_matrix, _doublings,
                                 discrete_gap_probability)
 from airypng.png_sim import d_scaling, growth_speed
 
+from conftest import certified_density
 from oracles import ktilde_block_oracle
 
 GATE = 1e-8
@@ -65,9 +72,30 @@ def test_certified_values_match_finer_reference(times, thresholds, n):
     # agree while both of its values are off
     grid = TimeGrid(times, thresholds)
     reference = _density_value(grid, 4 * n, DEFAULT_CUTOFF + 8.0, 192)
-    density = _gap_density(grid, n, DEFAULT_CUTOFF)
+    density = certified_density(grid, n, DEFAULT_CUTOFF)
     _assert_calibrated(density, reference)
     _assert_calibrated((gap_probability(grid, n=n),), reference[:1])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("epsilon", [0.2, 0.05])
+@pytest.mark.parametrize("windows", [1, 2])
+def test_conditional_window_matches_finer_reference(windows, epsilon):
+    # the returned ratio against its box sum over F_2'(p1), both at the
+    # reference level, for one or two later windows [-1, 1] at p1 = -1
+    p1, n, root = -1.0, 160, math.sqrt(epsilon)
+    level = (4 * n, DEFAULT_CUTOFF + 8.0, 192)
+    times = [0.0]
+    for _ in range(windows):
+        times.append(times[-1] + epsilon)
+    joint = 0.0
+    for corner in product((-1.0, 1.0), repeat=windows):
+        grid = TimeGrid(tuple(times), (p1, *(p1 + c * root for c in corner)))
+        joint += math.prod(corner) * _density_value(grid, *level)[1]
+    reference = joint / _density_value(TimeGrid((0.0,), (p1,)), *level)[1]
+    returned = conditional_window_probability(
+        0.0, p1, [(1.0, -1.0, 1.0)] * windows, epsilon, n=n)
+    assert abs(returned - reference) <= GATE
 
 
 @pytest.mark.parametrize("s, t", [
@@ -91,9 +119,9 @@ def test_kernel_grid_matches_finer_reference(s, t):
 def test_covariance_matches_finer_reference(t):
     # the returned 6-node level against 10 nodes per panel, within the
     # change from the 4-node level that the refinement gate reads
-    returned = _covariance(t, 96, DEFAULT_CUTOFF)
-    delta = abs(returned - _covariance_once(t, 96, DEFAULT_CUTOFF, 4))
-    reference = _covariance_once(t, 96, DEFAULT_CUTOFF, 10)
+    returned = _covariance(t)
+    delta = abs(returned - _covariance_once(t, 4))
+    reference = _covariance_once(t, 10)
     assert abs(returned - reference) <= delta + 1e-14
 
 

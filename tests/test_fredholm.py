@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,14 +14,14 @@ from airypng.fredholm import (TimeGrid, gap_probability,
                               tw2_cdf, tw2_pdf, conditional_window_probability,
                               increment_variance, long_range_covariance,
                               _tw2_moments,
-                              _gap_density, _density_value, _gap_value,
+                              _density_value, _gap_value,
                               _grid_legs,
                               _leg_rule, _operator_from_legs, _certified,
                               DEFAULT_CUTOFF)
 from airypng.blas import one_blas_thread
 from airypng.errors import DomainError, NumericsError
 
-from conftest import child_env
+from conftest import certified_density, child_env
 from oracles import f2_nystrom_oracle, F2_AT_ZERO, moment_identity_check
 
 
@@ -139,8 +140,8 @@ def test_threshold_derivative_matches_richardson(times, thresholds):
     def gap(xi1):
         return gap_probability(TimeGrid(times, (xi1, *thresholds[1:])))
     want = _richardson(gap, thresholds[0])
-    P, dP = _gap_density(TimeGrid(times, thresholds), n=192,
-                         L=DEFAULT_CUTOFF)
+    P, dP = certified_density(TimeGrid(times, thresholds), 192,
+                              DEFAULT_CUTOFF)
     assert P == gap(thresholds[0])
     # absolute and relative: the mixed-route value is only about 4e-13
     assert abs(dP - want) <= 1e-9 * min(1.0, abs(want))
@@ -251,7 +252,7 @@ def test_ladder_climbs_to_the_top_pair_with_the_parent_value(monkeypatch):
     with one_blas_thread:
         top = fredholm._density_value(grid, 192, DEFAULT_CUTOFF + 4.0, 96)
     levels = _recording(monkeypatch, "_density_value")
-    value = _gap_density(grid, 96, DEFAULT_CUTOFF)
+    value = certified_density(grid, 96, DEFAULT_CUTOFF)
     assert value == top == (0.6793153398723832, 0.08211026553616897)
     assert levels == [(48, 16.0, 48), (96, 20.0, 96),
                       (96, 16.0, 48), (192, 20.0, 96)]
@@ -262,16 +263,15 @@ def test_unsettled_ladder_tries_pairs_at_six_nodes_per_panel():
     # the error carries the top pair's two values
     levels = []
 
-    def moving(grid, n, L, npp):
+    def moving(n, L, npp):
         levels.append(n)
         return float(n)
 
-    grid = TimeGrid((0.0,), (0.0,))
     for n, L, tried in ((192, 16.0, [48, 96, 192]), (96, 16.0, [48, 96]),
                         (192, 20.0, [96, 192]), (64, 16.0, [64])):
         levels.clear()
         with pytest.raises(NumericsError) as err:
-            _certified(moving, grid, n, L, "value")
+            _certified(moving, (0.0,), n, L, "value")
         assert levels[::2] == tried
         assert err.value.estimates == (float(n), float(2 * n))
 
@@ -519,7 +519,7 @@ def test_covariance_once_pinned_and_threshold_major(monkeypatch, t, pinned):
         return Leg(time, *args, **kwargs)
 
     monkeypatch.setattr(fredholm, "Leg", counting_leg)
-    value = fredholm._covariance_once(t, 96, DEFAULT_CUTOFF, 4)
+    value = fredholm._covariance_once(t, 4)
     assert abs(value - pinned) <= 1e-13
     assert built.count(t) == 16
 
@@ -544,7 +544,8 @@ def test_covariance_integrand_negligible_past_its_window(t):
 @pytest.mark.parametrize("code", [
     "from airypng import increment_variance as v; print(repr(v(0.1)))",
     # a top pair of order 288 and 576, whose LUs once followed the count
-    "from airypng.fredholm import TimeGrid, _gap_density as g; print(repr("
+    "from airypng.fredholm import TimeGrid; "
+    "from conftest import certified_density as g; print(repr("
     "g(TimeGrid((0.0, 0.1, 0.2), (-1.0, -1.32, -0.68)), 96, 16.0)))",
     "from airypng import conditional_window_probability as c; print(repr("
     "c(0.0, -1.0, [(1.0, -1.0, 1.0), (1.0, -1.0, 1.0)], 0.1)))",
@@ -557,5 +558,6 @@ def test_values_independent_of_blas_threads(code):
     reprs = [subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True, env=child_env(OPENBLAS_NUM_THREADS=k, OMP_NUM_THREADS=k),
+        cwd=Path(__file__).parent,    # so the child imports ``conftest``
     ).stdout for k in ("1", "2")]
     assert reprs[0] == reprs[1] != ""

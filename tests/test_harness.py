@@ -165,27 +165,30 @@ def test_airy_experiment_rows_and_trend():
 
 def test_airy_experiment_computes_the_density_once(monkeypatch):
     # the TW2 density at p1 is one certified single-time density, shared
-    # by every epsilon
+    # by every epsilon; each epsilon's box sum is one ladder on the ratio,
+    # with no ladder per vertex
     from airypng import fredholm
     fredholm.tw2_pdf.cache_clear()
-    times = []
-    real = fredholm._gap_density
+    ladders = []
+    real = fredholm._certified
 
-    def recording(grid, *args):
-        times.append(grid.times)
-        return real(grid, *args)
+    def recording(value, thresholds, n, L, what):
+        ladders.append(what)
+        return real(value, thresholds, n, L, what)
 
-    monkeypatch.setattr(fredholm, "_gap_density", recording)
+    monkeypatch.setattr(fredholm, "_certified", recording)
     run_airy_brownian_experiment(0.0, -1.0, [0.2, 0.1], [1.0], [(-1.0, 1.0)],
                                  n=96)
-    assert times.count((0.0,)) == 1
-    assert len(times) == 1 + 2 * 2   # two vertices per epsilon
+    assert ladders == ["density"] + ["conditional_window_probability"] * 2
 
 
 def test_airy_experiment_degenerate_window():
-    table = run_airy_brownian_experiment(
-        0.0, -1.0, [0.1], [1.0], [(0.4, 0.4)], n=96)
-    assert table["rows"][0].estimate == pytest.approx(0.0, abs=1e-12)
+    # a window [a, a] is an event of probability 0, beside other windows too
+    for windows in ([(0.4, 0.4)], [(0.4, 0.4), (-1.0, 1.0)]):
+        table = run_airy_brownian_experiment(
+            0.0, -1.0, [0.1], [1.0] * len(windows), windows, n=96)
+        assert table["rows"][0].estimate == pytest.approx(0.0, abs=1e-12)
+        assert table["gaussian_target"] == 0.0
 
 
 def test_airy_experiment_two_step_product_target():

@@ -24,9 +24,11 @@ def test_params_validation():
         PngKernelParams(alpha=0.5, N=4, r1=1.2, r2=1.1)
     with pytest.raises(DomainError):
         PngKernelParams(alpha=0.5, N=4, r1=0.4, r2=1.1)
-    with pytest.raises(DomainError):
-        PngKernelParams(alpha=0.5, N=0, r1=0.8, r2=1.2)
-    for N in (0, -5):
+    for N in (0, 2.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            PngKernelParams(alpha=0.5, N=N, r1=0.8, r2=1.2)
+    # N counts lines and time steps, so a non-integral N is refused too
+    for N in (0, -5, 2.5, math.nan, math.inf):
         with pytest.raises(DomainError):
             default_params(0.5, N)
     for alpha in (-0.5, 0.0, 1.0, 2.0, math.nan):
@@ -99,6 +101,8 @@ def test_lattice_domain():
         ktilde_matrix(pars, 4, 0, [3], [3])
     with pytest.raises(DomainError):
         ktilde_matrix(pars, 0, 0, [-1], [3])
+    with pytest.raises(DomainError):
+        joint_gap_probability(pars, [])
 
 
 @pytest.mark.parametrize("u", [4, -4, 5])

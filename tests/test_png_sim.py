@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -382,8 +383,9 @@ def test_rescale_interpolation_midpoint():
 
 def test_rescale_out_of_cone():
     heights = _profile(0.25, 2 * 4 - 1, 4)
-    with pytest.raises(DomainError):
-        rescale_H(heights, 50.0, 0.25)
+    for t in (50.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            rescale_H(heights, t, 0.25)
 
 
 def test_rescale_needs_odd_time():

@@ -41,6 +41,13 @@ def test_readme_library_table_names_resolve():
     assert not missing, missing
 
 
+def test_readme_library_table_names_every_public_name():
+    rows = _library_rows()
+    named = {name for _module, names in rows for name in names}
+    named |= {module.split(".", 1)[1] for module, _names in rows}
+    assert sorted(set(airypng.__all__) - named) == []
+
+
 def test_removed_names_are_gone_and_their_survivors_public():
     assert not set(REMOVED) & set(airypng.__all__)
     assert set(REMOVED.values()) <= set(airypng.__all__)
